@@ -17,6 +17,7 @@
 use crate::error::QuClassiError;
 use quclassi_sim::circuit::Circuit;
 use quclassi_sim::gate::{matrices, Gate};
+use quclassi_sim::product::ProductState;
 use quclassi_sim::state::StateVector;
 
 /// How classical features are packed onto qubits.
@@ -335,6 +336,54 @@ impl DataEncoder {
             }
         }
         Ok(())
+    }
+
+    /// Prepares |φ_x⟩ as a [`ProductState`]: every encoding is a product of
+    /// single-qubit rotations on |0…0⟩, applied here in
+    /// [`DataEncoder::encoding_gates`] order. This is the data side of
+    /// every product-state fidelity (see `FidelityEstimator`).
+    ///
+    /// # Errors
+    /// Returns an error when `x` fails [`DataEncoder::validate`].
+    pub fn encode_product_state(&self, x: &[f64]) -> Result<ProductState, QuClassiError> {
+        self.encode_product_state_from_angles(&self.encoding_angles(x)?)
+    }
+
+    /// [`DataEncoder::encode_product_state`] from precomputed encoding
+    /// angles (the output of [`DataEncoder::encoding_angles`]). The
+    /// training path and the compiled serving path both prepare data states
+    /// through this one function, which is what keeps their fidelities
+    /// bit-identical.
+    ///
+    /// # Errors
+    /// Returns an error when the angle count does not match the feature
+    /// dimension.
+    pub fn encode_product_state_from_angles(
+        &self,
+        angles: &[f64],
+    ) -> Result<ProductState, QuClassiError> {
+        if angles.len() != self.dim {
+            return Err(QuClassiError::InvalidData(format!(
+                "expected {} encoding angles, got {}",
+                self.dim,
+                angles.len()
+            )));
+        }
+        let mut state = ProductState::zero_state(self.num_qubits());
+        for (i, &theta) in angles.iter().enumerate() {
+            match self.strategy {
+                EncodingStrategy::DualAngle if i % 2 == 1 => {
+                    state.apply_single_qubit(i / 2, &matrices::rz_entries(theta))?
+                }
+                EncodingStrategy::DualAngle => {
+                    state.apply_single_qubit(i / 2, &matrices::ry_entries(theta))?
+                }
+                EncodingStrategy::SingleAngle => {
+                    state.apply_single_qubit(i, &matrices::ry_entries(theta))?
+                }
+            }
+        }
+        Ok(state)
     }
 
     /// Reconstructs the feature vector from the encoded state by reading each

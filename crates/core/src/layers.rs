@@ -239,6 +239,15 @@ impl LayerStack {
             .sum()
     }
 
+    /// Whether the stack prepares a product state: true when it has no
+    /// [`LayerKind::Entanglement`] layer. S and D layers are single-qubit
+    /// rotations, so a separable stack's class state, like every encoded
+    /// data state, factorises qubit by qubit and its fidelities can be
+    /// scored through [`quclassi_sim::product::ProductState`].
+    pub fn is_separable(&self) -> bool {
+        !self.layers.contains(&LayerKind::Entanglement)
+    }
+
     /// Architecture name in the paper's notation ("QC-S", "QC-SDE", …).
     pub fn architecture_name(&self) -> String {
         let mut name = String::from("QC-");
@@ -348,6 +357,25 @@ mod tests {
         assert_eq!(LayerStack::qc_sde(2).unwrap().architecture_name(), "QC-SDE");
         assert_eq!(LayerStack::qc_d(2).unwrap().architecture_name(), "QC-D");
         assert_eq!(LayerStack::qc_e(2).unwrap().architecture_name(), "QC-E");
+    }
+
+    #[test]
+    fn only_entanglement_layers_break_separability() {
+        assert!(LayerStack::qc_s(3).unwrap().is_separable());
+        assert!(LayerStack::qc_d(3).unwrap().is_separable());
+        assert!(LayerStack::qc_sd(3).unwrap().is_separable());
+        assert!(!LayerStack::qc_e(3).unwrap().is_separable());
+        assert!(!LayerStack::qc_sde(3).unwrap().is_separable());
+        // The flag agrees with the circuit the stack emits.
+        for stack in [
+            LayerStack::qc_sd(3).unwrap(),
+            LayerStack::qc_sde(3).unwrap(),
+        ] {
+            assert_eq!(
+                stack.is_separable(),
+                stack.build_circuit().multi_qubit_gate_count() == 0
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,16 @@
 //!   the exact inner product. Mathematically identical in the noiseless,
 //!   infinite-shot limit, and much cheaper — this is what training uses by
 //!   default.
+//!
+//! Both paths share a product-state kernel. When the layer stack has no
+//! entanglement layer ([`LayerStack::is_separable`]) the class and data
+//! states are products of single-qubit states, so
+//! `F = Π_q |⟨φ_q|ω_q⟩|²`, and a noiseless SWAP test measures exactly
+//! `P(0) = (1 + F)/2`. Every deterministic estimate of such a stack — the
+//! analytic method, or the SWAP test through an exact executor — is
+//! therefore scored through [`ProductState::fidelity`] in `O(m)`, with no
+//! statevector. Entangled stacks, and SWAP tests with shots or noise, run
+//! their circuits as before.
 
 use crate::encoding::DataEncoder;
 use crate::error::QuClassiError;
@@ -21,6 +31,7 @@ use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::circuit::Circuit;
 use quclassi_sim::executor::Executor;
 use quclassi_sim::fusion::FusedCircuit;
+use quclassi_sim::product::ProductState;
 use rand::Rng;
 
 /// Qubit layout of the SWAP-test circuit (matches the paper's Fig. 7).
@@ -66,13 +77,7 @@ pub fn build_swap_test_circuit(
     encoder: &DataEncoder,
     x: &[f64],
 ) -> Result<(Circuit, SwapTestLayout), QuClassiError> {
-    if stack.num_qubits() != encoder.num_qubits() {
-        return Err(QuClassiError::InvalidConfig(format!(
-            "learned-state register has {} qubits but the encoder needs {}",
-            stack.num_qubits(),
-            encoder.num_qubits()
-        )));
-    }
+    check_widths(stack, encoder)?;
     let layout = swap_test_layout(stack.num_qubits());
     let mut circuit = Circuit::new(layout.total_qubits);
     // Ancilla into superposition.
@@ -117,13 +122,7 @@ pub fn build_class_swap_test_circuit(
     class_params: &[f64],
     encoder: &DataEncoder,
 ) -> Result<(Circuit, SwapTestLayout), QuClassiError> {
-    if stack.num_qubits() != encoder.num_qubits() {
-        return Err(QuClassiError::InvalidConfig(format!(
-            "learned-state register has {} qubits but the encoder needs {}",
-            stack.num_qubits(),
-            encoder.num_qubits()
-        )));
-    }
+    check_widths(stack, encoder)?;
     let layout = swap_test_layout(stack.num_qubits());
     let mut circuit = Circuit::new(layout.total_qubits);
     circuit.h(layout.ancilla);
@@ -234,6 +233,15 @@ impl FidelityEstimator {
         self.method == FidelityMethod::SwapTest && !self.executor.is_exact()
     }
 
+    /// Whether fidelities of `stack` are scored through the product-state
+    /// kernel: the stack is separable and the estimator deterministic
+    /// (analytic, or a SWAP test through an exact executor, whose
+    /// `2·P(0) − 1` equals `F` exactly). Compiled serving dispatches on the
+    /// same predicate, so it and this estimator always share a kernel.
+    pub fn scores_product_states(&self, stack: &LayerStack) -> bool {
+        stack.is_separable() && !self.is_stochastic()
+    }
+
     fn check_param_len(&self, stack: &LayerStack, params: &[f64]) -> Result<(), QuClassiError> {
         if params.len() != stack.parameter_count() {
             return Err(QuClassiError::InvalidConfig(format!(
@@ -252,13 +260,17 @@ impl FidelityEstimator {
     /// `2·P + 1` fidelity evaluations of the same circuit shape, so the
     /// circuit is built (and, for the SWAP-test method, fused) **once** and
     /// reused by every job instead of being rebuilt per evaluation as
-    /// [`FidelityEstimator::estimate`] must.
+    /// [`FidelityEstimator::estimate`] must. When
+    /// [`FidelityEstimator::scores_product_states`] holds, each evaluation
+    /// is a product-state fold and runs inline instead of on `batch`.
     ///
     /// Determinism: per-job RNG streams are derived from `base_seed` and the
     /// job index, so results are bit-identical for any thread count. For
-    /// deterministic estimators (analytic, or exact SWAP test) the results
-    /// are additionally bit-identical to sequential [`FidelityEstimator::estimate`]
-    /// calls on the same inputs, and `base_seed` is ignored.
+    /// deterministic estimators (analytic, or exact SWAP test) `base_seed`
+    /// is ignored and the results are additionally bit-identical to
+    /// sequential [`FidelityEstimator::estimate`] calls on the same inputs,
+    /// except for an entangled stack under the exact SWAP test: its fused
+    /// circuit re-associates floats, and agrees to about 1e-10.
     pub fn estimate_many(
         &self,
         stack: &LayerStack,
@@ -271,17 +283,23 @@ impl FidelityEstimator {
         for params in param_sets {
             self.check_param_len(stack, params)?;
         }
+        if self.scores_product_states(stack) {
+            // Inline: one evaluation is a few hundred nanoseconds, less
+            // than handing it to a worker. Sequential, so bit-identical to
+            // `estimate` and to itself at any thread count.
+            check_widths(stack, encoder)?;
+            let circuit = stack.build_circuit();
+            let data = encoder.encode_product_state(x)?;
+            return param_sets
+                .iter()
+                .map(|params| product_fidelity(&circuit, params, &data))
+                .collect();
+        }
         match self.method {
             FidelityMethod::Analytic => {
+                check_widths(stack, encoder)?;
                 let circuit = stack.build_circuit();
                 let data = encoder.encode_state(x)?;
-                if circuit.num_qubits() != data.num_qubits() {
-                    return Err(QuClassiError::InvalidConfig(format!(
-                        "learned-state register has {} qubits but the encoder needs {}",
-                        circuit.num_qubits(),
-                        data.num_qubits()
-                    )));
-                }
                 let jobs: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
                 let intra = batch.intra();
                 batch
@@ -327,17 +345,16 @@ impl FidelityEstimator {
         rng: &mut R,
     ) -> Result<f64, QuClassiError> {
         self.check_param_len(stack, params)?;
+        if self.scores_product_states(stack) {
+            check_widths(stack, encoder)?;
+            let data = encoder.encode_product_state(x)?;
+            return product_fidelity(&stack.build_circuit(), params, &data);
+        }
         match self.method {
             FidelityMethod::Analytic => {
+                check_widths(stack, encoder)?;
                 let learned = stack.build_circuit().execute(params)?;
                 let data = encoder.encode_state(x)?;
-                if learned.num_qubits() != data.num_qubits() {
-                    return Err(QuClassiError::InvalidConfig(format!(
-                        "learned-state register has {} qubits but the encoder needs {}",
-                        learned.num_qubits(),
-                        data.num_qubits()
-                    )));
-                }
                 Ok(learned.fidelity(&data)?)
             }
             FidelityMethod::SwapTest => {
@@ -349,6 +366,43 @@ impl FidelityEstimator {
             }
         }
     }
+}
+
+/// The learned state of a separable stack's circuit, bound to `params`,
+/// as a product state.
+///
+/// # Errors
+/// Returns an error when the circuit has an entangling gate, or a
+/// parameter is missing.
+pub fn class_product_state(
+    circuit: &Circuit,
+    params: &[f64],
+) -> Result<ProductState, QuClassiError> {
+    ProductState::from_circuit(circuit, params)?.ok_or_else(|| {
+        QuClassiError::InvalidConfig(
+            "the learned-state circuit entangles its qubits and has no product form".to_string(),
+        )
+    })
+}
+
+/// `|⟨ω(params)|φ_x⟩|²` through the product-state kernel.
+fn product_fidelity(
+    circuit: &Circuit,
+    params: &[f64],
+    data: &ProductState,
+) -> Result<f64, QuClassiError> {
+    Ok(class_product_state(circuit, params)?.fidelity(data)?)
+}
+
+fn check_widths(stack: &LayerStack, encoder: &DataEncoder) -> Result<(), QuClassiError> {
+    if stack.num_qubits() != encoder.num_qubits() {
+        return Err(QuClassiError::InvalidConfig(format!(
+            "learned-state register has {} qubits but the encoder needs {}",
+            stack.num_qubits(),
+            encoder.num_qubits()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -6,11 +6,13 @@ use quclassi::error::QuClassiError;
 use quclassi::loss::softmax;
 use quclassi::model::{QuClassiConfig, QuClassiModel};
 use quclassi::swap_test::{
-    build_class_swap_test_circuit, fidelity_from_p0, FidelityEstimator, FidelityMethod,
+    build_class_swap_test_circuit, class_product_state, fidelity_from_p0, FidelityEstimator,
+    FidelityMethod,
 };
 use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::fusion::FusedCircuit;
 use quclassi_sim::gemm::StateMatrix;
+use quclassi_sim::product::ProductState;
 use quclassi_sim::state::StateVector;
 use rand::Rng;
 use std::collections::HashMap;
@@ -22,15 +24,23 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// The method-specific compiled per-class artifacts.
 #[derive(Clone, Debug)]
 enum CompiledClasses {
-    /// Analytic method: every class state |ω_c⟩ evaluated once at compile
-    /// time and packed into one contiguous [`StateMatrix`] — scoring a
-    /// sample is one in-place data-register preparation plus one GEMM row
-    /// sweep over the packed class plane (one fixed-tree inner product per
-    /// class, bit-identical to per-pair [`StateVector::fidelity`]).
+    /// Separable stack under a deterministic estimator
+    /// ([`FidelityEstimator::scores_product_states`]): every class state
+    /// |ω_c⟩ as a [`ProductState`], scored against the sample's product
+    /// state through [`ProductState::fidelity`] — the kernel the estimator
+    /// itself uses, so compiled and uncompiled answers are bit-identical.
+    Product { class_states: Vec<ProductState> },
+    /// Analytic method, entangled stack: every class state |ω_c⟩
+    /// evaluated once at compile time and packed into one contiguous
+    /// [`StateMatrix`] — scoring a sample is one in-place data-register
+    /// preparation plus one GEMM row sweep over the packed class plane (one
+    /// fixed-tree inner product per class, bit-identical to per-pair
+    /// [`StateVector::fidelity`]).
     Analytic { class_matrix: StateMatrix },
-    /// SWAP-test method: one fused circuit per class with the trained
-    /// angles baked into the precomputed static prelude; the sample's
-    /// encoding angles are the circuit's only parameters.
+    /// SWAP-test method, entangled stack or stochastic executor: one fused
+    /// circuit per class with the trained angles baked into the precomputed
+    /// static prelude; the sample's encoding angles are the circuit's only
+    /// parameters.
     SwapTest {
         circuits: Vec<FusedCircuit>,
         ancilla: usize,
@@ -153,11 +163,16 @@ impl Clone for CompiledModel {
 impl CompiledModel {
     /// Compiles a trained model for serving under `estimator`.
     ///
-    /// * Analytic method: each class state is prepared once, analytically.
-    /// * SWAP-test method: each class gets its own fused circuit with the
-    ///   trained angles baked in (hoisted into the precomputed prelude) and
-    ///   the data register parametric. Ideal executors run the fused
-    ///   program; noisy/density executors transparently fall back to
+    /// * Separable stack (no entanglement layer) under the analytic method
+    ///   or an exact SWAP-test executor: each class state is folded once
+    ///   into a [`ProductState`]; scoring a sample is one product-state
+    ///   encode and `O(qubits)` work per class, inline.
+    /// * Otherwise, analytic method: each class state is prepared once as
+    ///   a statevector and packed for a GEMM sweep.
+    /// * Otherwise, SWAP-test method: each class gets its own fused circuit
+    ///   with the trained angles baked in (hoisted into the precomputed
+    ///   prelude) and the data register parametric. Ideal executors run the
+    ///   fused program; noisy/density executors transparently fall back to
     ///   per-gate evolution of the source circuit, preserving semantics.
     pub fn compile(
         model: &QuClassiModel,
@@ -165,27 +180,35 @@ impl CompiledModel {
     ) -> Result<Self, QuClassiError> {
         let config = model.config().clone();
         let encoder = model.encoder().clone();
-        let classes = match estimator.method() {
-            FidelityMethod::Analytic => {
-                let states = (0..model.num_classes())
-                    .map(|c| model.learned_state(c))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let class_matrix = StateMatrix::pack(&states)?;
-                CompiledClasses::Analytic { class_matrix }
-            }
-            FidelityMethod::SwapTest => {
-                let mut circuits = Vec::with_capacity(model.num_classes());
-                let mut ancilla = 0;
-                for c in 0..model.num_classes() {
-                    let (circuit, layout) = build_class_swap_test_circuit(
-                        model.stack(),
-                        model.class_params(c)?,
-                        &encoder,
-                    )?;
-                    ancilla = layout.ancilla;
-                    circuits.push(FusedCircuit::compile(&circuit));
+        let classes = if estimator.scores_product_states(model.stack()) {
+            let circuit = model.stack().build_circuit();
+            let class_states = (0..model.num_classes())
+                .map(|c| class_product_state(&circuit, model.class_params(c)?))
+                .collect::<Result<Vec<_>, _>>()?;
+            CompiledClasses::Product { class_states }
+        } else {
+            match estimator.method() {
+                FidelityMethod::Analytic => {
+                    let states = (0..model.num_classes())
+                        .map(|c| model.learned_state(c))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let class_matrix = StateMatrix::pack(&states)?;
+                    CompiledClasses::Analytic { class_matrix }
                 }
-                CompiledClasses::SwapTest { circuits, ancilla }
+                FidelityMethod::SwapTest => {
+                    let mut circuits = Vec::with_capacity(model.num_classes());
+                    let mut ancilla = 0;
+                    for c in 0..model.num_classes() {
+                        let (circuit, layout) = build_class_swap_test_circuit(
+                            model.stack(),
+                            model.class_params(c)?,
+                            &encoder,
+                        )?;
+                        ancilla = layout.ancilla;
+                        circuits.push(FusedCircuit::compile(&circuit));
+                    }
+                    CompiledClasses::SwapTest { circuits, ancilla }
+                }
             }
         };
         let cache_enabled = !estimator.is_stochastic();
@@ -266,6 +289,9 @@ impl CompiledModel {
         rng: &mut R,
     ) -> Result<Vec<f64>, QuClassiError> {
         match &self.classes {
+            CompiledClasses::Product { class_states } => {
+                product_fidelities(&self.encoder, class_states, angles)
+            }
             CompiledClasses::Analytic { class_matrix } => {
                 // Product-state fast preparation: bit-identical fidelities
                 // to the uncompiled `encode_state` path (see
@@ -461,9 +487,11 @@ impl CompiledModel {
             .collect())
     }
 
-    /// Evaluates per-class fidelities for many encoded samples through the
-    /// batch executor (one flat samples × classes job list for the
-    /// SWAP-test method, one job per sample for the analytic method).
+    /// Evaluates per-class fidelities for many encoded samples: inline for
+    /// product states (a sample costs less than a hand-off to a worker),
+    /// otherwise through the batch executor (one flat samples × classes job
+    /// list for the SWAP-test method, one job per sample for the analytic
+    /// method).
     fn batched_fidelities(
         &self,
         angles: &[Vec<f64>],
@@ -474,6 +502,10 @@ impl CompiledModel {
             return Ok(Vec::new());
         }
         match &self.classes {
+            CompiledClasses::Product { class_states } => angles
+                .iter()
+                .map(|a| product_fidelities(&self.encoder, class_states, a))
+                .collect(),
             CompiledClasses::Analytic { class_matrix } => {
                 // The batched analytic score is the samples × classes
                 // fidelity GEMM: encoded-sample rows against the packed
@@ -552,6 +584,20 @@ impl CompiledModel {
             .count();
         Ok(correct as f64 / features.len() as f64)
     }
+}
+
+/// Fidelities of one encoded sample against every product class state,
+/// in the order and through the kernel of `FidelityEstimator::estimate`.
+fn product_fidelities(
+    encoder: &DataEncoder,
+    class_states: &[ProductState],
+    angles: &[f64],
+) -> Result<Vec<f64>, QuClassiError> {
+    let data = encoder.encode_product_state_from_angles(angles)?;
+    class_states
+        .iter()
+        .map(|class| Ok(class.fidelity(&data)?))
+        .collect()
 }
 
 /// Arg-max with the exact tie-breaking of `QuClassiModel::predict`

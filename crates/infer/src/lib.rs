@@ -12,12 +12,17 @@
 //! compile step:
 //!
 //! * [`CompiledModel::compile`] freezes a trained model into an immutable
-//!   artifact — per-class class-state preparations evaluated once (analytic
-//!   method) or per-class [`quclassi_sim::fusion::FusedCircuit`]s with the
-//!   trained angles baked into their precomputed static preludes (SWAP-test
-//!   method), plus a precompiled parametric data-register circuit so a
-//!   sample's encoding binds without any recompilation;
-//! * [`CompiledModel::predict_many`] fans samples × classes over a
+//!   artifact. A separable model (no entanglement layer) under the analytic
+//!   method or an exact SWAP-test executor keeps one
+//!   [`quclassi_sim::product::ProductState`] per class: scoring a sample is
+//!   `O(qubits)` per class, with no statevector and no circuit. Otherwise
+//!   the artifact holds per-class class-state preparations evaluated once
+//!   (analytic method) or per-class [`quclassi_sim::fusion::FusedCircuit`]s
+//!   with the trained angles baked into their precomputed static preludes
+//!   (SWAP-test method), the sample's encoding angles being the only
+//!   parameters;
+//! * [`CompiledModel::predict_many`] scores product-state artifacts inline
+//!   and fans every other artifact's samples × classes over a
 //!   [`quclassi_sim::batch::BatchExecutor`], returning softmaxed
 //!   probabilities, the arg-max label, and per-sample confidence/top-k
 //!   through [`Prediction`];
@@ -28,11 +33,13 @@
 //!
 //! ## Determinism
 //!
-//! The artifact inherits PR 2's guarantees: deterministic estimators
-//! (analytic, exact SWAP test) produce results **bit-identical to the
-//! uncompiled sequential path** (analytic exactly; exact SWAP test up to
-//! gate-fusion float re-association, and bit-identical across any thread
-//! count), and stochastic estimators derive per-job RNG streams from
+//! Deterministic estimators (analytic, exact SWAP test) produce results
+//! **bit-identical to the uncompiled sequential path**: product-state
+//! artifacts exactly, for both estimators, because compiled and uncompiled
+//! scoring share one kernel; entangled analytic artifacts exactly;
+//! entangled exact SWAP-test artifacts up to gate-fusion float
+//! re-association. Every deterministic result is bit-identical across any
+//! thread count. Stochastic estimators derive per-job RNG streams from
 //! `(base_seed, job index)` so batched serving is bit-identical for 1, 2 or
 //! 8 threads.
 //!

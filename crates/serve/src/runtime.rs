@@ -21,11 +21,14 @@
 //!    the exact version that admitted them, even across a hot-swap) and
 //!    each group fans out through
 //!    [`CompiledModel::predict_many_from_angles`] on the shared executor.
-//!    For analytic artifacts that flush is a samples × classes fidelity
-//!    GEMM: every worker encodes its sample rows into a reused scratch
-//!    register and sweeps them against the model's packed class-state
-//!    matrix (`quclassi_sim::gemm::StateMatrix`), so a steady-state flush
-//!    performs no per-sample statevector or gate-list allocations.
+//!    Separable artifacts under a deterministic estimator score inline
+//!    through the product-state kernel, a few nanoseconds per qubit and
+//!    class. For entangled analytic artifacts the flush is a samples ×
+//!    classes fidelity GEMM: every worker encodes its sample rows into a
+//!    reused scratch register and sweeps them against the model's packed
+//!    class-state matrix (`quclassi_sim::gemm::StateMatrix`), so a
+//!    steady-state flush performs no per-sample statevector or gate-list
+//!    allocations.
 //! 4. **Reply** — each request's one-shot slot is fulfilled; blocked
 //!    callers wake with a [`ServeResponse`].
 //!

@@ -35,6 +35,10 @@
 //!   disjoint chunks over the same scoped pool, bit-identical for any
 //!   thread count (`QUCLASSI_INTRA_THREADS`). Composes multiplicatively
 //!   with the across-circuit budget of [`batch::BatchExecutor`],
+//! * [`product::ProductState`] — unentangled registers stored as one
+//!   2-vector per qubit, with the `O(n)` factorised fidelity
+//!   `Π_q |⟨φ_q|ψ_q⟩|²`; circuits of single-qubit gates fold straight into
+//!   it,
 //! * [`profile`] — opt-in kernel profiling counters (`QUCLASSI_PROFILE`):
 //!   fused-group invocations, dense vs diagonal vs permutation sweeps, and
 //!   amplitudes touched, at near-zero cost when disabled.
@@ -72,6 +76,7 @@ pub mod intra;
 pub mod linalg;
 pub mod noise;
 mod partition;
+pub mod product;
 pub mod profile;
 pub(crate) mod quclassi_sync;
 pub mod state;
@@ -92,6 +97,7 @@ pub mod prelude {
     pub use crate::intra::IntraThreads;
     pub use crate::linalg::CMatrix;
     pub use crate::noise::{NoiseChannel, NoiseModel, ReadoutError};
+    pub use crate::product::ProductState;
     pub use crate::state::StateVector;
     pub use crate::transpile::{decompose_all, decompose_gate, transpile, TranspileReport};
 }

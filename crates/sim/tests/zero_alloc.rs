@@ -6,7 +6,9 @@
 //!
 //! The whole test binary runs under a counting wrapper around the system
 //! allocator (test binaries each own their `#[global_allocator]`), so the
-//! assertion measures real allocator traffic, not a proxy.
+//! assertion measures real allocator traffic, not a proxy. The count is
+//! kept per thread: the test harness runs tests on parallel threads, and
+//! one test's allocations must not show up in another's window.
 
 use quclassi_sim::circuit::Circuit;
 use quclassi_sim::fusion::FusedCircuit;
@@ -14,11 +16,19 @@ use quclassi_sim::gemm::StateMatrix;
 use quclassi_sim::intra::IntraThreads;
 use quclassi_sim::state::StateVector;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so counting from
+    // inside the allocator never allocates or touches a torn-down slot.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY-FREE NOTE: implementing `GlobalAlloc` requires `unsafe fn`s by
 // signature; the implementation only delegates to `System` and bumps a
@@ -26,7 +36,7 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 // binary does not inherit) is not weakened in library code.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -35,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,8 +53,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A circuit exercising every steady-state kernel class: fused dense
