@@ -11,15 +11,6 @@
 //! to `BENCH_batched_execution.json` at the workspace root so the perf
 //! trajectory is tracked across PRs. `--test` runs everything once, untimed
 //! (JSON reports a single smoke repetition).
-//!
-//! The **within-circuit sweep** measures the intra-statevector parallel
-//! kernels on the paper's defining operation: one shot-faithful SWAP-test
-//! evaluation at the 17-qubit MNIST shape, swept over
-//! `QUCLASSI_INTRA_THREADS`-style budgets of 1/2/4/8 workers. The sweep
-//! also asserts the determinism contract — the measured probability is
-//! bit-identical at every thread count. The reported speedup is
-//! hardware-bound (the JSON records the machine's available parallelism
-//! next to it; on a single-core runner the honest number is ≈ 1×).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use quclassi::encoding::{DataEncoder, EncodingStrategy};
@@ -28,15 +19,10 @@ use quclassi::layers::LayerStack;
 use quclassi::swap_test::{build_swap_test_circuit, fidelity_from_p0, FidelityEstimator};
 use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::executor::Executor;
-use quclassi_sim::fusion::FusedCircuit;
-use quclassi_sim::intra::IntraThreads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Intra-circuit worker counts swept at the MNIST shape.
-const INTRA_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 struct Workload {
     stack: LayerStack,
@@ -95,36 +81,6 @@ fn eval_fused_batched(w: &Workload, batch: &BatchExecutor) -> f64 {
         .sum()
 }
 
-/// One compiled single-request SWAP-test evaluation — the serving-shape
-/// unit of work the intra-circuit kernels target (no across-circuit
-/// batching to hide behind).
-struct SingleEval {
-    fused: FusedCircuit,
-    ancilla: usize,
-    params: Vec<f64>,
-}
-
-fn single_eval(w: &Workload) -> SingleEval {
-    let (circuit, layout) = build_swap_test_circuit(&w.stack, &w.encoder, &w.x).unwrap();
-    SingleEval {
-        fused: FusedCircuit::compile(&circuit),
-        ancilla: layout.ancilla,
-        params: w.sets[0].clone(),
-    }
-}
-
-fn eval_single(e: &SingleEval, executor: &Executor) -> f64 {
-    let mut rng = StdRng::seed_from_u64(0);
-    let p1 = executor
-        .probability_of_one_compiled(&e.fused, &e.params, e.ancilla, &mut rng)
-        .unwrap();
-    fidelity_from_p0(1.0 - p1)
-}
-
-fn intra_executor(threads: usize) -> Executor {
-    Executor::ideal().with_intra(IntraThreads::new(threads))
-}
-
 fn bench_execution_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_execution");
     group.sample_size(12);
@@ -144,19 +100,6 @@ fn bench_execution_paths(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fused_batched", dims), &w, |b, w| {
             b.iter(|| black_box(eval_fused_batched(w, &pooled)))
         });
-        if dims == 16 {
-            // Within-circuit sweep at the 17-qubit MNIST SWAP-test shape:
-            // a single evaluation with 1 vs 8 intra-circuit workers.
-            let e = single_eval(&w);
-            for intra in [1usize, 8] {
-                let executor = intra_executor(intra);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("single_eval_intra_{intra}"), dims),
-                    &e,
-                    |b, e| b.iter(|| black_box(eval_single(e, &executor))),
-                );
-            }
-        }
     }
     group.finish();
 }
@@ -191,51 +134,12 @@ fn emit_bench_json(smoke: bool) {
         let unfused = median_ns(reps, || eval_unfused_sequential(&w));
         let fused = median_ns(reps, || eval_fused_batched(&w, &single));
         let batched = median_ns(reps, || eval_fused_batched(&w, &pooled));
-        let intra_sweep = if dims == 16 {
-            // Within-circuit sweep at the 17-qubit MNIST SWAP-test shape.
-            let e = single_eval(&w);
-            // Determinism guard: the intra thread count must not change a
-            // single bit of the measured fidelity.
-            let reference = eval_single(&e, &intra_executor(1));
-            let mut points = Vec::new();
-            let mut by_threads = Vec::new();
-            for intra in INTRA_SWEEP {
-                let executor = intra_executor(intra);
-                let value = eval_single(&e, &executor);
-                assert_eq!(
-                    value.to_bits(),
-                    reference.to_bits(),
-                    "intra={intra} changed the answer"
-                );
-                let ns = median_ns(reps, || eval_single(&e, &executor));
-                by_threads.push((intra, ns));
-                points.push(format!(
-                    "{{\"intra_threads\": {intra}, \"single_eval_ns\": {ns:.0}}}"
-                ));
-            }
-            let seq = by_threads[0].1;
-            let at8 = by_threads.last().expect("sweep is non-empty").1;
-            // `hardware_bound` flags the sweep as machine-limited: on a
-            // single-core runner every intra budget multiplexes onto one
-            // CPU, so the honest speedup ceiling is 1× and the numbers
-            // measure overhead, not scaling.
-            format!(
-                ", \"intra_sweep\": [{}], \"speedup_intra_8\": {:.2}, \"cores\": {}, \
-                 \"hardware_bound\": {}",
-                points.join(", "),
-                seq / at8,
-                threads,
-                threads == 1
-            )
-        } else {
-            String::new()
-        };
         entries.push(format!(
             concat!(
                 "    {{\"workload\": \"swap_test_{}_features\", \"total_qubits\": {}, ",
                 "\"evaluations\": {}, \"unfused_sequential_ns\": {:.0}, \"fused_ns\": {:.0}, ",
                 "\"fused_batched_ns\": {:.0}, \"speedup_fused\": {:.2}, ",
-                "\"speedup_batched\": {:.2}, \"threads\": {}{}}}"
+                "\"speedup_batched\": {:.2}, \"threads\": {}}}"
             ),
             dims,
             w.total_qubits,
@@ -245,8 +149,7 @@ fn emit_bench_json(smoke: bool) {
             batched,
             unfused / fused,
             unfused / batched,
-            threads,
-            intra_sweep
+            threads
         ));
     }
     let json = format!(

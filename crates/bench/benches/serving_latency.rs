@@ -13,8 +13,7 @@
 //! calls — serving must never change an answer.
 //!
 //! A second axis sweeps **open connections** (100 / 1k / 10k mostly-idle
-//! sockets) against both TCP frontends — the event-loop `WireServer` and
-//! the thread-per-connection `ThreadedWireServer` — measuring connection
+//! sockets) against the event-loop `WireServer`, measuring connection
 //! setup, round-trip latency through the crowd, and pipelined throughput.
 //! The idle sockets are held by a child process (this binary re-executed
 //! with `idle-client-helper`), so each process stays inside its own
@@ -32,8 +31,7 @@ use quclassi::trainer::{Trainer, TrainingConfig};
 use quclassi_datasets::stream::ReplayStream;
 use quclassi_infer::CompiledModel;
 use quclassi_serve::{
-    OnlineConfig, OnlineLearner, ServeConfig, ServeRuntime, ThreadedWireServer, WireClient,
-    WireConfig, WireServer,
+    OnlineConfig, OnlineLearner, ServeConfig, ServeRuntime, WireClient, WireConfig, WireServer,
 };
 use quclassi_sim::batch::BatchExecutor;
 use rand::rngs::StdRng;
@@ -601,44 +599,11 @@ struct WireCell {
     pipelined_rps: f64,
 }
 
-/// Either TCP frontend, unified for the sweep.
-enum AnyServer {
-    EventLoop(WireServer),
-    Threaded(ThreadedWireServer),
-}
-
-impl AnyServer {
-    fn start(event_loop: bool, client: quclassi_serve::Client, config: WireConfig) -> Self {
-        if event_loop {
-            AnyServer::EventLoop(WireServer::start_with("127.0.0.1:0", client, config).unwrap())
-        } else {
-            AnyServer::Threaded(
-                ThreadedWireServer::start_with("127.0.0.1:0", client, config).unwrap(),
-            )
-        }
-    }
-
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            AnyServer::EventLoop(s) => s.local_addr(),
-            AnyServer::Threaded(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            AnyServer::EventLoop(s) => s.shutdown(),
-            AnyServer::Threaded(s) => s.shutdown(),
-        }
-    }
-}
-
 /// One cell of the connection sweep: `connections` idle sockets held by
 /// the child, then round-trip latency and pipelined throughput measured
 /// through the crowd from this process.
 fn run_wire_cell(
     w: &Workload,
-    event_loop: bool,
     connections: usize,
     roundtrips: usize,
     pipelined: usize,
@@ -657,7 +622,7 @@ fn run_wire_cell(
         write_timeout: Some(Duration::from_secs(30)),
         shards: 2,
     };
-    let server = AnyServer::start(event_loop, runtime.client(), config);
+    let server = WireServer::start_with("127.0.0.1:0", runtime.client(), config).unwrap();
     let addr = server.local_addr();
 
     let setup_started = Instant::now();
@@ -721,8 +686,8 @@ fn emit_wire_cell_json(server: &str, connections: usize, r: &WireCell) -> String
     )
 }
 
-/// The connection-count sweep: both TCP frontends, 100/1k/10k mostly-idle
-/// sockets, one active client measuring through the crowd.
+/// The connection-count sweep: 100/1k/10k mostly-idle sockets, one active
+/// client measuring through the crowd.
 fn emit_connections_json(smoke: bool) -> String {
     let connection_sweep: &[usize] = if smoke { &[50] } else { &[100, 1_000, 10_000] };
     let roundtrips = if smoke { 20 } else { 2_000 };
@@ -730,10 +695,8 @@ fn emit_connections_json(smoke: bool) -> String {
     let w = workload("wire", 4, 3);
     let mut cells = Vec::new();
     for &connections in connection_sweep {
-        for (label, event_loop) in [("event_loop", true), ("thread_per_conn", false)] {
-            let r = run_wire_cell(&w, event_loop, connections, roundtrips, pipelined);
-            cells.push(emit_wire_cell_json(label, connections, &r));
-        }
+        let r = run_wire_cell(&w, connections, roundtrips, pipelined);
+        cells.push(emit_wire_cell_json("event_loop", connections, &r));
     }
     format!(
         "  \"connections_sweep\": {{\"workload\": \"iris_4_features\", \"roundtrips\": {}, \"pipelined_burst\": {},\n    \"cells\": [\n{}\n    ]}},",

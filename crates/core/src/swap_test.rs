@@ -205,16 +205,6 @@ impl FidelityEstimator {
         }
     }
 
-    /// Sets the intra-circuit thread budget on the underlying executor:
-    /// single-estimate SWAP-test evaluations (and compiled serving built
-    /// on this estimator) split large statevector sweeps over the budget's
-    /// workers. A pure throughput knob — results are bit-identical for any
-    /// value (see [`quclassi_sim::intra::IntraThreads`]).
-    pub fn with_intra(mut self, intra: quclassi_sim::intra::IntraThreads) -> Self {
-        self.executor = self.executor.with_intra(intra);
-        self
-    }
-
     /// The estimation method.
     pub fn method(&self) -> FidelityMethod {
         self.method
@@ -301,17 +291,15 @@ impl FidelityEstimator {
                 let circuit = stack.build_circuit();
                 let data = encoder.encode_state(x)?;
                 let jobs: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
-                let intra = batch.intra();
                 batch
                     .run_seeded(base_seed, jobs, |_, params, _| {
-                        // execute_with/fidelity_with are bit-identical to
-                        // the sequential estimate path for any intra thread
-                        // count (unfused per-gate application — fusing here
-                        // would re-associate floats and break the exact
-                        // sequential-equality guarantee this method makes).
+                        // Unfused per-gate application, as in `estimate`:
+                        // fusing here would re-associate floats and break
+                        // the exact sequential-equality guarantee this
+                        // method makes.
                         circuit
-                            .execute_with(params, intra)
-                            .and_then(|learned| learned.fidelity_with(&data, intra))
+                            .execute(params)
+                            .and_then(|learned| learned.fidelity(&data))
                     })
                     .into_iter()
                     .map(|r| r.map_err(QuClassiError::from))
@@ -626,52 +614,6 @@ mod tests {
                     assert_eq!(one_thread, batched, "{threads} threads");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn estimate_many_is_bit_identical_under_intra_thread_budgets() {
-        // Within-circuit parallelism must not change a single output bit,
-        // for either method. Thresholds are forced down so the small test
-        // registers genuinely exercise the parallel kernels.
-        use quclassi_sim::intra::IntraThreads;
-        let (stack, encoder) = setup(4);
-        let x = vec![0.3, 0.8, 0.2, 0.6];
-        let sets: Vec<Vec<f64>> = (0..4)
-            .map(|s| {
-                (0..stack.parameter_count())
-                    .map(|i| 0.2 + 0.15 * s as f64 + 0.07 * i as f64)
-                    .collect()
-            })
-            .collect();
-        for est in [
-            FidelityEstimator::analytic(),
-            FidelityEstimator::swap_test(Executor::ideal()),
-        ] {
-            let run = |intra_threads: usize| -> Vec<u64> {
-                let batch = BatchExecutor::new(2, 0)
-                    .with_intra(IntraThreads::new(intra_threads).with_threshold_qubits(1));
-                est.estimate_many(&stack, &sets, &encoder, &x, &batch, 7)
-                    .unwrap()
-                    .into_iter()
-                    .map(f64::to_bits)
-                    .collect()
-            };
-            let sequential = run(1);
-            assert_eq!(sequential, run(2), "{:?}", est.method());
-            assert_eq!(sequential, run(8), "{:?}", est.method());
-            // And the intra-enabled single-estimate path agrees too.
-            let with_intra = est
-                .clone()
-                .with_intra(IntraThreads::new(8).with_threshold_qubits(1));
-            let mut rng = StdRng::seed_from_u64(0);
-            let direct = est
-                .estimate(&stack, &sets[0], &encoder, &x, &mut rng)
-                .unwrap();
-            let parallel = with_intra
-                .estimate(&stack, &sets[0], &encoder, &x, &mut rng)
-                .unwrap();
-            assert_eq!(direct.to_bits(), parallel.to_bits(), "{:?}", est.method());
         }
     }
 

@@ -232,18 +232,6 @@ impl CompiledModel {
         }
     }
 
-    /// Sets the intra-circuit thread budget the single-sample serving
-    /// paths run under: large SWAP-test circuit sweeps and analytic
-    /// inner-product reductions split across the budget's workers. Batched
-    /// paths ([`CompiledModel::predict_many`]) take their budget from the
-    /// [`BatchExecutor`] instead (`QUCLASSI_INTRA_THREADS` via
-    /// [`BatchExecutor::from_env`]). Pure throughput knob — predictions
-    /// are bit-identical for any value.
-    pub fn with_intra(mut self, intra: quclassi_sim::intra::IntraThreads) -> Self {
-        self.estimator = self.estimator.with_intra(intra);
-        self
-    }
-
     /// The model configuration the artifact was compiled from.
     pub fn config(&self) -> &QuClassiConfig {
         &self.config
@@ -298,9 +286,8 @@ impl CompiledModel {
                 // `DataEncoder::encode_state_from_angles`), swept against
                 // the packed class plane in one GEMM row pass.
                 let data = self.encoder.encode_state_from_angles(angles)?;
-                let intra = self.estimator.executor().intra();
                 let mut fidelities = vec![0.0; class_matrix.rows()];
-                class_matrix.fidelities_into_with(&data, intra, &mut fidelities)?;
+                class_matrix.fidelities_into(&data, &mut fidelities)?;
                 Ok(fidelities)
             }
             CompiledClasses::SwapTest { circuits, ancilla } => circuits
@@ -518,7 +505,6 @@ impl CompiledModel {
                 // single-sample path, so results stay bit-identical for
                 // any thread count and any batch composition.
                 let jobs: Vec<&[f64]> = angles.iter().map(Vec::as_slice).collect();
-                let intra = batch.intra();
                 let width = class_matrix.num_qubits();
                 batch
                     .run_seeded_with_scratch(
@@ -529,7 +515,7 @@ impl CompiledModel {
                             self.encoder
                                 .encode_state_from_angles_into(sample_angles, scratch)?;
                             let mut fidelities = vec![0.0; class_matrix.rows()];
-                            class_matrix.fidelities_into_with(scratch, intra, &mut fidelities)?;
+                            class_matrix.fidelities_into(scratch, &mut fidelities)?;
                             Ok(fidelities)
                         },
                     )

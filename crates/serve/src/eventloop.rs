@@ -53,10 +53,9 @@
 //! so the loop enforces [`WireConfig`] deadlines itself: each connection
 //! tracks its last read progress and last write progress, and a sweep
 //! (quantised to a fraction of the shortest deadline, never more than
-//! once per epoll wake) disconnects peers that stalled past their limit —
-//! the same observable contract as the threaded server's socket
-//! deadlines, at O(connections / sweep-interval) cost instead of one
-//! timer per socket.
+//! once per epoll wake) disconnects peers that stalled past their limit,
+//! at O(connections / sweep-interval) cost instead of one timer per
+//! socket.
 //!
 //! Shutdown is deterministic: every shard parks in `epoll_wait` on its
 //! eventfd waker, and [`WireServer::shutdown`] fires them all.
@@ -87,9 +86,8 @@ const TOKEN_BASE: usize = 2;
 /// server buffer unboundedly by pipelining requests it never collects.
 const MAX_BUFFERED_OUT: usize = 1024 * 1024;
 
-/// The event-loop wire server (see the module docs). API-compatible with
-/// [`ThreadedWireServer`](crate::threaded::ThreadedWireServer): bind,
-/// serve, `local_addr`, `shutdown`.
+/// The event-loop wire server (see the module docs): bind, serve,
+/// `local_addr`, `shutdown`.
 #[derive(Debug)]
 pub struct WireServer {
     local_addr: SocketAddr,

@@ -31,9 +31,7 @@
 //!   `QUCLASSI_MAX_CONNECTIONS` / `QUCLASSI_WIRE_TIMEOUT_MS` /
 //!   `QUCLASSI_WIRE_SHARDS`). The TCP server is a readiness-driven
 //!   event loop (sharded epoll, request multiplexing via `"id"` echo —
-//!   see [`eventloop`]); the original thread-per-connection server
-//!   survives as the benchmark baseline
-//!   ([`threaded::ThreadedWireServer`]).
+//!   see [`eventloop`]).
 //!
 //! ## Determinism
 //!
@@ -91,7 +89,6 @@ pub mod registry;
 pub mod runtime;
 pub mod shadow;
 pub(crate) mod swap;
-pub mod threaded;
 pub mod trace;
 pub mod wire;
 
@@ -110,7 +107,6 @@ pub use runtime::{
     ServeResponse, ServeRuntime,
 };
 pub use shadow::ShadowReport;
-pub use threaded::ThreadedWireServer;
 pub use trace::{TraceRing, TraceSpan, DEFAULT_TRACE_CAPACITY};
 pub use wire::{FrameDecoder, WireClient, WireConfig, WirePrediction};
 

@@ -941,9 +941,13 @@ mod tests {
             .map(|_| {
                 let h = Arc::clone(&h);
                 let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        h.record_ns(V);
+                // Record before the first look at `stop`, so every writer
+                // contributes at least one observation however the
+                // scheduler orders the threads.
+                std::thread::spawn(move || loop {
+                    h.record_ns(V);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
                 })
             })
@@ -964,7 +968,7 @@ mod tests {
         }
         // Quiescent snapshot: the mean is exact again.
         let s = h.snapshot();
-        assert!(s.count() > 0);
+        assert!(s.count() >= 4, "each writer records at least once");
         assert_eq!(s.mean_ns(), V as f64);
         assert_eq!((s.min_ns(), s.max_ns()), (V, V));
     }

@@ -35,14 +35,10 @@
 //! ## Threading
 //!
 //! The runtime's evaluation parallelism is entirely the
-//! [`BatchExecutor`]'s: the across-circuit worker count
-//! (`QUCLASSI_THREADS`) fans batched requests out one job per sample ×
-//! class, and the within-circuit budget (`QUCLASSI_INTRA_THREADS`, via
-//! [`BatchExecutor::from_env`] / [`BatchExecutor::with_intra`]) lets a
-//! single large-register evaluation split its statevector sweeps across
-//! additional workers — the axis that helps when traffic is sparse but
-//! each request is a 17-qubit SWAP test. Both knobs are pure throughput
-//! knobs (see the determinism section below).
+//! [`BatchExecutor`]'s: its worker count (`QUCLASSI_THREADS`, via
+//! [`BatchExecutor::from_env`]) fans batched requests out one job per
+//! sample × class, and each circuit runs on one thread. The worker count
+//! is a pure throughput knob (see the determinism section below).
 //!
 //! ## Determinism
 //!

@@ -37,12 +37,9 @@
 //! probabilities and fidelities a remote client parses are bit-identical
 //! to what an in-process [`Client`] receives.
 //!
-//! Two servers speak this protocol: the readiness-driven event-loop
-//! [`WireServer`](crate::eventloop::WireServer) (the production frontend)
-//! and the legacy thread-per-connection
-//! [`ThreadedWireServer`](crate::threaded::ThreadedWireServer), kept as
-//! the benchmark baseline the event loop is measured against. This module
-//! owns everything both share: framing, request interpretation, response
+//! The readiness-driven event-loop
+//! [`WireServer`](crate::eventloop::WireServer) serves this protocol.
+//! This module owns framing, request interpretation, response
 //! construction, the robustness knobs ([`WireConfig`]), and the client.
 
 use crate::error::ServeError;
@@ -88,8 +85,7 @@ pub struct WireConfig {
     /// Number of event-loop shards of the
     /// [`WireServer`](crate::eventloop::WireServer): independent epoll
     /// loops, each owning a subset of the connections, all feeding the
-    /// same micro-batching scheduler. (Ignored by the legacy
-    /// thread-per-connection server.)
+    /// same micro-batching scheduler.
     pub shards: usize,
 }
 
@@ -370,9 +366,8 @@ pub(crate) enum WireAction {
 /// Interprets one frame payload. Control ops (`ping`/`models`/`metrics`/
 /// `metrics_text`/`trace`) and every error path produce an immediate
 /// [`WireAction::Respond`];
-/// well-formed predict requests become [`WireAction::Predict`] so the
-/// caller chooses between blocking evaluation (threaded server) and
-/// submit-and-multiplex (event loop).
+/// well-formed predict requests become [`WireAction::Predict`], which the
+/// event loop submits and multiplexes.
 pub(crate) fn interpret(payload: &[u8], client: &Client) -> WireAction {
     let request = match std::str::from_utf8(payload)
         .map_err(|_| ServeError::Protocol("frame is not UTF-8".to_string()))
@@ -727,20 +722,46 @@ pub struct WireClient {
     next_id: u64,
 }
 
+/// How long a [`WireClient`] blocks on one socket read or write: a server
+/// that stops answering fails the caller with a timeout instead of
+/// hanging it.
+const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Maps a client socket error, naming an expired deadline as a timeout (a
+/// blocking read past `SO_RCVTIMEO` reports `WouldBlock` on Unix).
+fn client_io_error(e: std::io::Error) -> ServeError {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+            ServeError::Io(format!("timed out waiting for the server: {e}"))
+        }
+        _ => e.into(),
+    }
+}
+
 impl WireClient {
-    /// Connects to a wire server.
+    /// Connects to a wire server. Every later read and write on the
+    /// connection fails after 30 s without progress.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
+        Self::connect_with_timeout(addr, CLIENT_IO_TIMEOUT)
+    }
+
+    pub(crate) fn connect_with_timeout(
+        addr: impl ToSocketAddrs,
+        timeout: Duration,
+    ) -> Result<Self, ServeError> {
         let stream = TcpStream::connect(addr)?;
         // Request/response over small frames is exactly the shape Nagle's
         // algorithm penalises.
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
         Ok(WireClient { stream, next_id: 1 })
     }
 
     /// Sends one request object and reads one response object (no id;
     /// strictly one request in flight).
     pub fn call(&mut self, request: &Json) -> Result<Json, ServeError> {
-        write_frame(&mut self.stream, request.to_string().as_bytes())?;
+        write_frame(&mut self.stream, request.to_string().as_bytes()).map_err(client_io_error)?;
         let (_, response) = self.recv_response()?;
         Ok(response)
     }
@@ -757,7 +778,7 @@ impl WireClient {
             ("features", Json::nums(x)),
             ("id", Json::Num(id as f64)),
         ]);
-        write_frame(&mut self.stream, request.to_string().as_bytes())?;
+        write_frame(&mut self.stream, request.to_string().as_bytes()).map_err(client_io_error)?;
         Ok(id)
     }
 
@@ -766,14 +787,15 @@ impl WireClient {
         let id = self.next_id;
         self.next_id += 1;
         let tagged = with_id(request.clone(), Some(Json::Num(id as f64)));
-        write_frame(&mut self.stream, tagged.to_string().as_bytes())?;
+        write_frame(&mut self.stream, tagged.to_string().as_bytes()).map_err(client_io_error)?;
         Ok(id)
     }
 
     /// Blocks for the next response frame, returning its echoed id (if
     /// any) and the parsed response object.
     pub fn recv_response(&mut self) -> Result<(Option<u64>, Json), ServeError> {
-        let payload = read_frame(&mut self.stream)?
+        let payload = read_frame(&mut self.stream)
+            .map_err(client_io_error)?
             .ok_or_else(|| ServeError::Io("server closed the connection".to_string()))?;
         let text = std::str::from_utf8(&payload)
             .map_err(|_| ServeError::Protocol("response is not UTF-8".to_string()))?;
@@ -1126,5 +1148,24 @@ mod tests {
         assert_eq!(features, vec![0.1]);
         assert_eq!(id.as_ref().and_then(Json::as_u64), Some(9));
         runtime.shutdown();
+    }
+
+    #[test]
+    fn client_times_out_on_a_server_that_never_answers() {
+        // Accepts the connection and reads nothing, writes nothing.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = WireClient::connect_with_timeout(
+            listener.local_addr().unwrap(),
+            Duration::from_millis(100),
+        )
+        .unwrap();
+        let (_server_side, _) = listener.accept().unwrap();
+        let started = std::time::Instant::now();
+        let err = client.ping().expect_err("a silent server must time out");
+        assert!(
+            matches!(&err, ServeError::Io(msg) if msg.contains("timed out")),
+            "{err:?}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(10));
     }
 }

@@ -1,13 +1,13 @@
 //! End-to-end observability tests: the `trace` op must reconstruct a
-//! complete stage timeline for pipelined (out-of-order) requests on both
-//! wire servers, and the Prometheus-style `metrics_text` exposition must
+//! complete stage timeline for pipelined (out-of-order) requests on the
+//! wire server, and the Prometheus-style `metrics_text` exposition must
 //! agree with the JSON `metrics` op it rides alongside.
 
 use quclassi::model::{QuClassiConfig, QuClassiModel};
 use quclassi::swap_test::FidelityEstimator;
 use quclassi_infer::CompiledModel;
 use quclassi_serve::json::Json;
-use quclassi_serve::{ServeConfig, ServeRuntime, ThreadedWireServer, WireClient, WireServer};
+use quclassi_serve::{ServeConfig, ServeRuntime, WireClient, WireServer};
 use quclassi_sim::batch::BatchExecutor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -132,16 +132,6 @@ fn pipeline_and_trace(wire: &mut WireClient, requests: usize) {
 fn trace_op_reconstructs_stage_timelines_on_the_event_loop_server() {
     let runtime = started_runtime();
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
-    let mut wire = WireClient::connect(server.local_addr()).unwrap();
-    pipeline_and_trace(&mut wire, 16);
-    server.shutdown();
-    runtime.shutdown();
-}
-
-#[test]
-fn trace_op_reconstructs_stage_timelines_on_the_threaded_server() {
-    let runtime = started_runtime();
-    let server = ThreadedWireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
     pipeline_and_trace(&mut wire, 16);
     server.shutdown();

@@ -1,21 +1,19 @@
-//! File-descriptor behaviour of the wire frontends at the edge of the
+//! File-descriptor behaviour of the wire server at the edge of the
 //! process's `RLIMIT_NOFILE` budget.
 //!
-//! Two regressions are pinned here, both found by the 10k-connection
-//! bench cell:
+//! Two properties are pinned here, both first broken and found by the
+//! 10k-connection bench cell:
 //!
-//! 1. **fd amplification** — the threaded server used to `try_clone` every
-//!    accepted socket (one fd for the acceptor's registry, one for the
-//!    handler thread), doubling the per-connection descriptor cost and
-//!    halving the connection count the budget allows. Acceptor and
-//!    handler now share one descriptor through an `Arc<TcpStream>`.
-//! 2. **accept livelock on `EMFILE`** — with descriptors exhausted,
+//! 1. **no fd amplification** — every accepted connection costs the
+//!    server exactly one descriptor (a `try_clone` per socket would
+//!    double the cost and halve the connection count the budget allows).
+//! 2. **no accept livelock on `EMFILE`** — with descriptors exhausted,
 //!    `accept` fails but the pending connection keeps the listener
-//!    readable, so a level-triggered poll re-reports it instantly and the
-//!    accept loop used to spin at 100% CPU (starving every established
-//!    connection on small machines) until fds freed. Both servers now
-//!    back off briefly after a persistent accept failure and recover as
-//!    soon as descriptors free up.
+//!    readable, so a level-triggered poll re-reports it instantly and an
+//!    accept loop without backoff spins at 100% CPU (starving every
+//!    established connection on small machines) until fds free. The
+//!    server backs off briefly after a persistent accept failure and
+//!    recovers as soon as descriptors free up.
 //!
 //! Everything here is Linux-specific by construction (the poll shim, the
 //! `/proc/self` introspection, `EMFILE` provocation via `setrlimit`).
@@ -27,7 +25,7 @@ use quclassi::swap_test::FidelityEstimator;
 use quclassi_infer::CompiledModel;
 use quclassi_serve::json::Json;
 use quclassi_serve::wire::{read_frame, write_frame};
-use quclassi_serve::{ServeConfig, ServeRuntime, ThreadedWireServer, WireConfig, WireServer};
+use quclassi_serve::{ServeConfig, ServeRuntime, WireConfig, WireServer};
 use quclassi_sim::batch::BatchExecutor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +71,7 @@ fn ping(stream: &mut TcpStream) {
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
 }
 
-/// The EMFILE provocation, shared by both frontends: establish a probe,
+/// The EMFILE provocation: establish a probe,
 /// exhaust descriptors, connect a client the server cannot accept, prove
 /// the accept loop idles instead of spinning, then free descriptors and
 /// prove the starved connection is adopted and served.
@@ -134,8 +132,7 @@ fn one_descriptor_per_connection_and_no_accept_livelock() {
         write_timeout: Some(Duration::from_secs(10)),
         shards: 1,
     };
-    let server =
-        ThreadedWireServer::start_with("127.0.0.1:0", runtime.client(), config.clone()).unwrap();
+    let server = WireServer::start_with("127.0.0.1:0", runtime.client(), config).unwrap();
     let addr = server.local_addr();
 
     // ---- Section 1: one server-side descriptor per connection. ----
@@ -145,28 +142,24 @@ fn one_descriptor_per_connection_and_no_accept_livelock() {
         herd.push(TcpStream::connect(addr).expect("connect"));
     }
     // A ping round-trip per socket proves each one is fully accepted and
-    // has its handler running, so every descriptor the server will ever
-    // hold for the herd exists before the census.
+    // has been adopted by a shard, so every descriptor the server will
+    // ever hold for the herd exists before the census.
     for stream in &mut herd {
         ping(stream);
     }
     let delta = fd_count() - before;
-    // 100 client ends + 100 server ends = 200. The old try_clone path
-    // held 300; leave slack for harness noise but stay well under it.
+    // 100 client ends + 100 server ends = 200. A try_clone per accepted
+    // socket would hold 300; leave slack for harness noise but stay well
+    // under it.
     assert!(
         delta <= 240,
         "100 connections grew the fd table by {delta} \
          (> 2 per connection: server-side descriptor amplification)"
     );
 
-    // ---- Section 2: EMFILE must not livelock the threaded acceptor. ----
+    // ---- Section 2: EMFILE must not livelock the acceptor. ----
     emfile_dance(addr);
     drop(herd);
-    server.shutdown();
-
-    // ---- Section 3: the same dance against the event-loop server. ----
-    let server = WireServer::start_with("127.0.0.1:0", runtime.client(), config).unwrap();
-    emfile_dance(server.local_addr());
     server.shutdown();
     runtime.shutdown();
 }

@@ -1,8 +1,8 @@
 //! Connection-scale soak: thousands of simultaneously open, mostly idle
-//! connections against the event-loop server. The thread-per-connection
-//! baseline cannot run this shape (10k threads); the event loop holds the
-//! same sockets as epoll registrations and keeps serving live traffic
-//! around them.
+//! connections against the event-loop server. A thread per connection
+//! could not run this shape (10k threads); the event loop holds the
+//! sockets as epoll registrations and keeps serving live traffic around
+//! them.
 //!
 //! The connection count is sized from the process's actual
 //! `RLIMIT_NOFILE` budget (both socket ends live in this process), so the

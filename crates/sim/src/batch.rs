@@ -20,7 +20,6 @@ use crate::circuit::Circuit;
 use crate::error::SimError;
 use crate::executor::Executor;
 use crate::fusion::FusedCircuit;
-use crate::intra::IntraThreads;
 use crate::state::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,7 +44,6 @@ fn splitmix64(mut state: u64) -> u64 {
 pub struct BatchExecutor {
     pool: ThreadPool,
     root_seed: u64,
-    intra: IntraThreads,
 }
 
 impl Default for BatchExecutor {
@@ -65,7 +63,6 @@ impl BatchExecutor {
         BatchExecutor {
             pool: ThreadPool::new(threads),
             root_seed,
-            intra: IntraThreads::single_threaded(),
         }
     }
 
@@ -74,58 +71,25 @@ impl BatchExecutor {
         BatchExecutor {
             pool: ThreadPool::single_threaded(),
             root_seed,
-            intra: IntraThreads::single_threaded(),
         }
     }
 
-    /// Sets the *within*-circuit thread budget: each job's kernel sweeps
-    /// additionally fan out over this many workers once a register crosses
-    /// the budget's qubit threshold, so the total budget is
-    /// `threads × intra.threads()`. A pure throughput knob — results are
-    /// bit-identical for any combination (see [`IntraThreads`]).
-    pub fn with_intra(mut self, intra: IntraThreads) -> Self {
-        self.intra = intra;
-        self
-    }
-
-    /// The configured within-circuit thread budget.
-    pub fn intra(&self) -> &IntraThreads {
-        &self.intra
-    }
-
-    /// A batch executor sized from the environment: the across-circuit
-    /// worker count from `QUCLASSI_THREADS` (unset → the machine's
-    /// available parallelism) and the within-circuit budget from
-    /// `QUCLASSI_INTRA_THREADS` (unset → 1, i.e. intra-circuit parallelism
-    /// is opt-in — defaulting both to all cores would oversubscribe by the
-    /// square of the core count). This is the constructor servers, benches
-    /// and examples should use — both knobs are pure throughput knobs
-    /// (results are bit-identical for any values), so it is safe to let
-    /// the deployment environment choose them.
+    /// A batch executor sized from the environment: the worker count from
+    /// `QUCLASSI_THREADS` (unset → the machine's available parallelism).
+    /// This is the constructor servers, benches and examples should use —
+    /// the knob is a pure throughput knob (results are bit-identical for
+    /// any value), so it is safe to let the deployment environment choose
+    /// it.
     ///
     /// # Errors
-    /// A `QUCLASSI_THREADS` or `QUCLASSI_INTRA_THREADS` value that is set
-    /// but does not parse as a positive integer is **rejected** with
+    /// A `QUCLASSI_THREADS` value that is set but does not parse as a
+    /// positive integer is **rejected** with
     /// [`SimError::InvalidConfiguration`], not silently replaced by a
     /// default: a typo in a deployment knob must surface at startup, not
     /// degrade a server to an unintended thread count.
     pub fn from_env(root_seed: u64) -> Result<Self, SimError> {
-        let across = std::env::var("QUCLASSI_THREADS").ok();
-        let intra = std::env::var("QUCLASSI_INTRA_THREADS").ok();
-        Self::from_thread_specs(across.as_deref(), intra.as_deref(), root_seed)
-    }
-
-    /// The pure core of [`BatchExecutor::from_env`]: builds an executor
-    /// from optional `QUCLASSI_THREADS` / `QUCLASSI_INTRA_THREADS`-style
-    /// specifications (see [`BatchExecutor::from_thread_spec`] and
-    /// [`IntraThreads::from_thread_spec`] for the accepted forms).
-    pub fn from_thread_specs(
-        across: Option<&str>,
-        intra: Option<&str>,
-        root_seed: u64,
-    ) -> Result<Self, SimError> {
-        Ok(Self::from_thread_spec(across, root_seed)?
-            .with_intra(IntraThreads::from_thread_spec(intra)?))
+        let spec = std::env::var("QUCLASSI_THREADS").ok();
+        Self::from_thread_spec(spec.as_deref(), root_seed)
     }
 
     /// The pure core of [`BatchExecutor::from_env`]: builds an executor from
@@ -243,7 +207,6 @@ impl BatchExecutor {
         qubit: usize,
         base_seed: u64,
     ) -> Result<Vec<f64>, SimError> {
-        let executor = executor.clone().with_intra(self.intra.clone());
         let jobs: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
         self.run_seeded_with_scratch(
             base_seed,
@@ -271,7 +234,6 @@ impl BatchExecutor {
         qubit: usize,
         base_seed: u64,
     ) -> Result<Vec<f64>, SimError> {
-        let executor = executor.clone().with_intra(self.intra.clone());
         let width = jobs.first().map_or(1, |(c, _)| c.num_qubits());
         let jobs: Vec<(&FusedCircuit, &[f64])> = jobs.to_vec();
         self.run_seeded_with_scratch(
@@ -297,11 +259,9 @@ impl BatchExecutor {
         param_sets: &[Vec<f64>],
     ) -> Result<Vec<StateVector>, SimError> {
         let jobs: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
-        self.run(jobs, |_, params, _| {
-            circuit.execute_with(params, &self.intra)
-        })
-        .into_iter()
-        .collect()
+        self.run(jobs, |_, params, _| circuit.execute(params))
+            .into_iter()
+            .collect()
     }
 
     /// Samples `shots` full-register measurements for each parameter set,

@@ -251,25 +251,6 @@ impl Circuit {
         Ok(sv)
     }
 
-    /// [`Circuit::execute`] under an intra-circuit thread budget: above
-    /// the budget's qubit threshold every gate sweep is split into
-    /// disjoint amplitude chunks over the scoped pool. The parallel
-    /// kernels reproduce the sequential per-amplitude arithmetic exactly,
-    /// so the result is bit-identical to [`Circuit::execute`] for any
-    /// thread count.
-    pub fn execute_with(
-        &self,
-        params: &[f64],
-        intra: &crate::intra::IntraThreads,
-    ) -> Result<StateVector, SimError> {
-        let mut sv = StateVector::zero_state(self.num_qubits);
-        for op in &self.ops {
-            let gate = op.bind(params)?;
-            sv.apply_gate_intra(&gate, intra)?;
-        }
-        Ok(sv)
-    }
-
     /// Applies the circuit to an existing state in place.
     pub fn execute_into(&self, state: &mut StateVector, params: &[f64]) -> Result<(), SimError> {
         if state.num_qubits() != self.num_qubits {

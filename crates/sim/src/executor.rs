@@ -19,7 +19,6 @@ use crate::circuit::Circuit;
 use crate::density::DensityMatrix;
 use crate::error::SimError;
 use crate::fusion::FusedCircuit;
-use crate::intra::IntraThreads;
 use crate::noise::NoiseModel;
 use crate::state::StateVector;
 use rand::Rng;
@@ -63,7 +62,6 @@ pub struct Executor {
     method: Method,
     shots: Option<usize>,
     trajectories: usize,
-    intra: IntraThreads,
 }
 
 impl Default for Executor {
@@ -80,7 +78,6 @@ impl Executor {
             method: Method::StateVector,
             shots: None,
             trajectories: 1,
-            intra: IntraThreads::single_threaded(),
         }
     }
 
@@ -91,7 +88,6 @@ impl Executor {
             method: Method::StateVector,
             shots: None,
             trajectories: 16,
-            intra: IntraThreads::single_threaded(),
         }
     }
 
@@ -102,23 +98,7 @@ impl Executor {
             method: Method::DensityMatrix,
             shots: None,
             trajectories: 1,
-            intra: IntraThreads::single_threaded(),
         }
-    }
-
-    /// Sets the intra-circuit thread budget: compiled ideal state-vector
-    /// runs split every kernel sweep and measurement reduction over this
-    /// many workers once the register crosses the budget's qubit
-    /// threshold. A pure throughput knob — results are bit-identical for
-    /// any value.
-    pub fn with_intra(mut self, intra: IntraThreads) -> Self {
-        self.intra = intra;
-        self
-    }
-
-    /// The configured intra-circuit thread budget.
-    pub fn intra(&self) -> &IntraThreads {
-        &self.intra
     }
 
     /// Sets the number of measurement shots; `None` means exact expectation.
@@ -180,8 +160,8 @@ impl Executor {
             }
             Method::StateVector => {
                 if self.noise.is_ideal() {
-                    let sv = circuit.execute_with(params, &self.intra)?;
-                    return sv.probability_of_one_with(qubit, &self.intra);
+                    let sv = circuit.execute(params)?;
+                    return sv.probability_of_one(qubit);
                 }
                 let gates = circuit.bind(params)?;
                 let mut acc = 0.0;
@@ -211,8 +191,8 @@ impl Executor {
         rng: &mut R,
     ) -> Result<f64, SimError> {
         if self.method == Method::StateVector && self.noise.is_ideal() {
-            let sv = fused.execute_with(params, &self.intra)?;
-            return sv.probability_of_one_with(qubit, &self.intra);
+            let sv = fused.execute(params)?;
+            return sv.probability_of_one(qubit);
         }
         self.raw_probability_of_one(fused.source(), params, qubit, rng)
     }
@@ -283,8 +263,8 @@ impl Executor {
         scratch: &mut StateVector,
     ) -> Result<f64, SimError> {
         if self.method == Method::StateVector && self.noise.is_ideal() {
-            fused.execute_reusing(params, scratch, &self.intra)?;
-            let p_true = scratch.probability_of_one_with(qubit, &self.intra)?;
+            fused.execute_reusing(params, scratch)?;
+            let p_true = scratch.probability_of_one(qubit)?;
             return Ok(self.sample_readout(p_true, rng));
         }
         self.probability_of_one_compiled(fused, params, qubit, rng)
@@ -370,7 +350,7 @@ impl Executor {
         rng: &mut R,
     ) -> Result<Vec<(usize, usize)>, SimError> {
         if self.method == Method::StateVector && self.noise.is_ideal() {
-            let sv = fused.execute_with(params, &self.intra)?;
+            let sv = fused.execute(params)?;
             let mut histogram = std::collections::BTreeMap::new();
             for _ in 0..shots {
                 *histogram.entry(sv.sample(rng)).or_insert(0usize) += 1;

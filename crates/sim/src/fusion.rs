@@ -41,7 +41,6 @@ use crate::circuit::{Circuit, Operation};
 use crate::complex::Complex;
 use crate::error::SimError;
 use crate::gate::Gate;
-use crate::intra::IntraThreads;
 use crate::state::{StateVector, MAX_DENSE_QUBITS};
 
 /// Maximum number of qubits a fused group may span. 2³×2³ matrices keep the
@@ -408,24 +407,12 @@ impl FusedCircuit {
     /// from the precomputed prelude state, so only the parametric remainder
     /// of the program is evaluated.
     pub fn execute(&self, params: &[f64]) -> Result<StateVector, SimError> {
-        self.execute_with(params, &IntraThreads::single_threaded())
-    }
-
-    /// [`FusedCircuit::execute`] under an intra-circuit thread budget:
-    /// above the budget's qubit threshold every kernel sweep is split into
-    /// disjoint amplitude chunks over the scoped pool. Results are
-    /// bit-identical to [`FusedCircuit::execute`] for any thread count.
-    pub fn execute_with(
-        &self,
-        params: &[f64],
-        intra: &IntraThreads,
-    ) -> Result<StateVector, SimError> {
         let mut sv = self.prefix_state.clone();
-        self.apply_ops(&mut sv, &self.program[self.prefix_len..], params, intra)?;
+        self.apply_ops(&mut sv, &self.program[self.prefix_len..], params)?;
         Ok(sv)
     }
 
-    /// [`FusedCircuit::execute_with`] into a caller-owned scratch state,
+    /// [`FusedCircuit::execute`] into a caller-owned scratch state,
     /// reusing its amplitude buffer: the prelude state is copied in (no
     /// allocation once the scratch has the right capacity) and the
     /// parametric remainder replayed on top. This is the serving hot loop's
@@ -436,33 +423,21 @@ impl FusedCircuit {
         &self,
         params: &[f64],
         scratch: &mut StateVector,
-        intra: &IntraThreads,
     ) -> Result<(), SimError> {
         scratch.clone_from(&self.prefix_state);
-        self.apply_ops(scratch, &self.program[self.prefix_len..], params, intra)
+        self.apply_ops(scratch, &self.program[self.prefix_len..], params)
     }
 
     /// Applies the fused circuit to an existing state in place (the full
     /// program — the prelude shortcut only applies to |0…0⟩ starts).
     pub fn execute_into(&self, state: &mut StateVector, params: &[f64]) -> Result<(), SimError> {
-        self.execute_into_with(state, params, &IntraThreads::single_threaded())
-    }
-
-    /// [`FusedCircuit::execute_into`] under an intra-circuit thread budget
-    /// (bit-identical for any thread count).
-    pub fn execute_into_with(
-        &self,
-        state: &mut StateVector,
-        params: &[f64],
-        intra: &IntraThreads,
-    ) -> Result<(), SimError> {
         if state.num_qubits() != self.num_qubits() {
             return Err(SimError::DimensionMismatch {
                 expected: self.num_qubits(),
                 found: state.num_qubits(),
             });
         }
-        self.apply_ops(state, &self.program, params, intra)
+        self.apply_ops(state, &self.program, params)
     }
 
     fn apply_ops(
@@ -470,24 +445,23 @@ impl FusedCircuit {
         state: &mut StateVector,
         ops: &[FusedOp],
         params: &[f64],
-        intra: &IntraThreads,
     ) -> Result<(), SimError> {
         for op in ops {
             match op {
                 FusedOp::Static { qubits, matrix } => {
                     crate::profile::fused_group();
-                    state.apply_unitary_unchecked_intra(qubits, matrix, intra);
+                    state.apply_unitary_unchecked(qubits, matrix);
                 }
                 FusedOp::Dynamic { qubits, ops } => {
                     crate::profile::fused_group();
                     let mut matrix = ZERO_GROUP_MATRIX;
                     fuse_group_into(qubits, ops, params, &mut matrix)?;
                     let size = 1usize << qubits.len();
-                    state.apply_unitary_unchecked_intra(qubits, &matrix[..size * size], intra);
+                    state.apply_unitary_unchecked(qubits, &matrix[..size * size]);
                 }
                 FusedOp::Raw(op) => {
                     let gate = op.bind(params)?;
-                    state.apply_gate_intra(&gate, intra)?;
+                    state.apply_gate(&gate)?;
                 }
             }
         }
@@ -559,68 +533,46 @@ impl BoundFusedCircuit {
     /// prelude state. Infallible: every failure mode (unbound parameters,
     /// malformed operands) was surfaced by [`FusedCircuit::bind`].
     pub fn execute(&self) -> StateVector {
-        self.execute_with(&IntraThreads::single_threaded())
-    }
-
-    /// [`BoundFusedCircuit::execute`] under an intra-circuit thread budget
-    /// (bit-identical for any thread count).
-    pub fn execute_with(&self, intra: &IntraThreads) -> StateVector {
         let mut sv = self.prefix_state.clone();
-        self.replay(&mut sv, intra);
+        self.replay(&mut sv);
         sv
     }
 
-    /// [`BoundFusedCircuit::execute_with`] into a caller-owned scratch
+    /// [`BoundFusedCircuit::execute`] into a caller-owned scratch
     /// state, reusing its amplitude buffer.
     ///
     /// This is the **zero-allocation replay path**: every matrix was built
     /// at bind time, raw gates keep their multiply-free specialised
     /// kernels, and the prelude copy reuses the scratch's existing buffer —
     /// so once the scratch has been sized by a first call, steady-state
-    /// sequential replays perform **no heap allocation at all** (asserted
-    /// by the `zero_alloc` test suite with a counting allocator). Parallel
-    /// replays (an [`IntraThreads`] budget above its threshold) allocate
-    /// only the per-sweep chunk descriptors.
-    pub fn execute_reusing(&self, scratch: &mut StateVector, intra: &IntraThreads) {
+    /// replays perform **no heap allocation at all** (asserted by the
+    /// `zero_alloc` test suite with a counting allocator).
+    pub fn execute_reusing(&self, scratch: &mut StateVector) {
         scratch.clone_from(&self.prefix_state);
-        self.replay(scratch, intra);
+        self.replay(scratch);
     }
 
     /// Applies the bound instructions (prelude *not* included — the prelude
     /// shortcut only applies to |0…0⟩ starts; use the source circuit for
     /// arbitrary-state replays of the full program) to an existing state.
     pub fn execute_into(&self, state: &mut StateVector) -> Result<(), SimError> {
-        self.execute_into_with(state, &IntraThreads::single_threaded())
-    }
-
-    /// [`BoundFusedCircuit::execute_into`] under an intra-circuit thread
-    /// budget (bit-identical for any thread count).
-    pub fn execute_into_with(
-        &self,
-        state: &mut StateVector,
-        intra: &IntraThreads,
-    ) -> Result<(), SimError> {
         if state.num_qubits() != self.num_qubits {
             return Err(SimError::DimensionMismatch {
                 expected: self.num_qubits,
                 found: state.num_qubits(),
             });
         }
-        self.replay(state, intra);
+        self.replay(state);
         Ok(())
     }
 
-    fn replay(&self, state: &mut StateVector, intra: &IntraThreads) {
-        let parallel = intra.parallelizes(state.num_qubits());
+    fn replay(&self, state: &mut StateVector) {
         for op in &self.ops {
             match op {
                 BoundOp::Unitary { qubits, matrix } => {
                     crate::profile::fused_group();
-                    state.apply_unitary_unchecked_intra(qubits, matrix, intra);
+                    state.apply_unitary_unchecked(qubits, matrix);
                 }
-                BoundOp::Gate(gate) if parallel => state
-                    .apply_gate_intra(gate, intra)
-                    .expect("gates validated at bind time"),
                 BoundOp::Gate(gate) => {
                     // Bound raw gates are always diagonal/permutation
                     // specialisations (dense gates were fused into groups),

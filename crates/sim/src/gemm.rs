@@ -20,13 +20,9 @@
 //! [`crate::state::REDUCTION_CHUNK`] amplitudes (the cache block — this is
 //! what "cache-blocked" means here; no other blocking reassociates the
 //! sum) combined by balanced halving. The tree shape depends only on the
-//! register size, so:
-//!
-//! * [`StateMatrix::fidelities_into`] is **bit-identical** to calling
-//!   [`crate::state::StateVector::fidelity`] row by row, and
-//! * [`StateMatrix::fidelities_into_with`] is bit-identical to the
-//!   sequential path for **any** intra thread count (only leaf ownership
-//!   moves between threads, never the combine order).
+//! register size, so [`StateMatrix::fidelities_into`] is
+//! **bit-identical** to calling [`crate::state::StateVector::fidelity`]
+//! row by row.
 //!
 //! The documented contract for consumers is agreement within `1e-12` of
 //! the sequential inner-product path — today the implementation delivers
@@ -36,10 +32,7 @@
 
 use crate::complex::Complex;
 use crate::error::SimError;
-use crate::intra::IntraThreads;
-use crate::state::{
-    combine_complex, inner_product_leaf, inner_product_tree, StateVector, REDUCTION_CHUNK,
-};
+use crate::state::{inner_product_tree, StateVector};
 
 /// A dense row-major pack of same-width pure states: row `r` holds the
 /// amplitudes of state `r`, split into structure-of-arrays real and
@@ -140,41 +133,6 @@ impl StateMatrix {
         for (r, slot) in out.iter_mut().enumerate() {
             let (a_re, a_im) = self.row(r);
             *slot = inner_product_tree(a_re, a_im, b_re, b_im).norm_sqr();
-        }
-        Ok(())
-    }
-
-    /// [`StateMatrix::fidelities_into`] with the reduction-tree leaves of
-    /// every row fanned out over an intra-circuit thread budget.
-    /// Bit-identical to the sequential path for any thread count: the
-    /// (row, leaf) work list and the per-row combine order are pure
-    /// functions of the matrix shape.
-    ///
-    /// # Errors
-    /// Same contract as [`StateMatrix::fidelities_into`].
-    pub fn fidelities_into_with(
-        &self,
-        other: &StateVector,
-        intra: &IntraThreads,
-        out: &mut [f64],
-    ) -> Result<(), SimError> {
-        if !intra.parallelizes(self.num_qubits) || self.dim <= REDUCTION_CHUNK {
-            return self.fidelities_into(other, out);
-        }
-        self.check_probe(other, out)?;
-        let (b_re, b_im) = (other.re_parts(), other.im_parts());
-        let leaves = self.dim / REDUCTION_CHUNK;
-        let jobs: Vec<(usize, usize)> = (0..self.rows)
-            .flat_map(|r| (0..leaves).map(move |l| (r, l)))
-            .collect();
-        let partials = intra.pool().scoped_map(jobs, |_, (r, leaf)| {
-            let (a_re, a_im) = self.row(r);
-            let lo = leaf * REDUCTION_CHUNK;
-            let hi = lo + REDUCTION_CHUNK;
-            inner_product_leaf(&a_re[lo..hi], &a_im[lo..hi], &b_re[lo..hi], &b_im[lo..hi])
-        });
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = combine_complex(&partials[r * leaves..(r + 1) * leaves]).norm_sqr();
         }
         Ok(())
     }

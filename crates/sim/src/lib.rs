@@ -30,11 +30,6 @@
 //! * [`gemm::StateMatrix`] — many same-width pure states packed into one
 //!   dense SoA matrix so batched fidelities become a cache-blocked GEMM
 //!   (bit-identical to the per-pair reduction path),
-//! * [`intra::IntraThreads`] — the *within*-circuit thread budget: large
-//!   statevector sweeps and reductions split into cache-block-sized
-//!   disjoint chunks over the same scoped pool, bit-identical for any
-//!   thread count (`QUCLASSI_INTRA_THREADS`). Composes multiplicatively
-//!   with the across-circuit budget of [`batch::BatchExecutor`],
 //! * [`product::ProductState`] — unentangled registers stored as one
 //!   2-vector per qubit, with the `O(n)` factorised fidelity
 //!   `Π_q |⟨φ_q|ψ_q⟩|²`; circuits of single-qubit gates fold straight into
@@ -72,10 +67,8 @@ pub mod executor;
 pub mod fusion;
 pub mod gate;
 pub mod gemm;
-pub mod intra;
 pub mod linalg;
 pub mod noise;
-mod partition;
 pub mod product;
 pub mod profile;
 pub(crate) mod quclassi_sync;
@@ -94,7 +87,6 @@ pub mod prelude {
     pub use crate::fusion::{BoundFusedCircuit, FusedCircuit};
     pub use crate::gate::Gate;
     pub use crate::gemm::StateMatrix;
-    pub use crate::intra::IntraThreads;
     pub use crate::linalg::CMatrix;
     pub use crate::noise::{NoiseChannel, NoiseModel, ReadoutError};
     pub use crate::product::ProductState;

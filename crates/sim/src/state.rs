@@ -24,9 +24,7 @@
 use crate::complex::Complex;
 use crate::error::SimError;
 use crate::gate::Gate;
-use crate::intra::IntraThreads;
 use crate::linalg::CMatrix;
-use crate::partition::SegPlan;
 use rand::Rng;
 
 /// Largest qubit count accepted by the dense-unitary kernels
@@ -34,22 +32,15 @@ use rand::Rng;
 /// scratch buffers are stack-allocated at `2^MAX_DENSE_QUBITS`.
 pub const MAX_DENSE_QUBITS: usize = 6;
 
-/// log2 of the cache-block work unit shared by every intra-circuit
-/// parallel surface: reduction-tree leaves, elementwise sweep chunks, and
-/// the segment partitioner's preferred segment size. 2^12 amplitudes =
-/// 64 KiB — big enough to amortise dispatch, small enough to balance.
-/// Keeping one constant prevents the three surfaces from drifting apart.
-pub(crate) const CACHE_BLOCK_BITS: usize = 12;
-
 /// Leaf size (in amplitudes) of the fixed pairwise reduction tree used by
 /// [`StateVector::inner_product`] and [`StateVector::probability_of_one`].
 ///
 /// Registers at or below this size reduce with a plain sequential fold;
 /// larger registers reduce chunk-by-chunk and combine the partial sums in
 /// a balanced binary tree. The tree's shape depends **only on the register
-/// size** — never on a thread count — so sequential and parallel
-/// reductions produce bit-identical results.
-pub const REDUCTION_CHUNK: usize = 1 << CACHE_BLOCK_BITS;
+/// size**, so every reduction over the same amplitudes returns the same
+/// bits (2^12 amplitudes = 64 KiB per plane, one cache block).
+pub const REDUCTION_CHUNK: usize = 1 << 12;
 
 /// A pure quantum state on `n` qubits, stored as `2^n` amplitudes split
 /// into structure-of-arrays real/imaginary halves (see the module docs).
@@ -210,9 +201,7 @@ impl StateVector {
     ///
     /// Registers larger than [`REDUCTION_CHUNK`] amplitudes sum through a
     /// fixed pairwise tree (leaf folds combined by balanced halving) whose
-    /// shape is a pure function of the register size, so
-    /// [`StateVector::inner_product_with`] can compute the identical bits
-    /// on any number of threads.
+    /// shape is a pure function of the register size.
     pub fn inner_product(&self, other: &StateVector) -> Result<Complex, SimError> {
         if self.num_qubits != other.num_qubits {
             return Err(SimError::DimensionMismatch {
@@ -223,52 +212,9 @@ impl StateVector {
         Ok(inner_product_tree(&self.re, &self.im, &other.re, &other.im))
     }
 
-    /// [`StateVector::inner_product`] with the leaf sums of the reduction
-    /// tree fanned out over an intra-circuit thread budget. Bit-identical
-    /// to the sequential path for any thread count: only *who computes*
-    /// each leaf changes, never the tree shape.
-    pub fn inner_product_with(
-        &self,
-        other: &StateVector,
-        intra: &IntraThreads,
-    ) -> Result<Complex, SimError> {
-        if self.num_qubits != other.num_qubits {
-            return Err(SimError::DimensionMismatch {
-                expected: self.num_qubits,
-                found: other.num_qubits,
-            });
-        }
-        if !intra.parallelizes(self.num_qubits) || self.dim() <= REDUCTION_CHUNK {
-            return Ok(inner_product_tree(&self.re, &self.im, &other.re, &other.im));
-        }
-        let leaves = self.dim() / REDUCTION_CHUNK;
-        let partials = intra.pool().scoped_map((0..leaves).collect(), |_, leaf| {
-            let lo = leaf * REDUCTION_CHUNK;
-            let hi = lo + REDUCTION_CHUNK;
-            inner_product_leaf(
-                &self.re[lo..hi],
-                &self.im[lo..hi],
-                &other.re[lo..hi],
-                &other.im[lo..hi],
-            )
-        });
-        Ok(combine_complex(&partials))
-    }
-
     /// State fidelity |⟨self|other⟩|² between two pure states.
     pub fn fidelity(&self, other: &StateVector) -> Result<f64, SimError> {
         Ok(self.inner_product(other)?.norm_sqr())
-    }
-
-    /// [`StateVector::fidelity`] with the inner product's leaf sums fanned
-    /// out over an intra-circuit thread budget (bit-identical for any
-    /// thread count).
-    pub fn fidelity_with(
-        &self,
-        other: &StateVector,
-        intra: &IntraThreads,
-    ) -> Result<f64, SimError> {
-        Ok(self.inner_product_with(other, intra)?.norm_sqr())
     }
 
     /// Tensor product `self ⊗ other`; `other`'s qubits become the new
@@ -355,85 +301,6 @@ impl StateVector {
         true
     }
 
-    /// [`StateVector::apply_gate`] under an intra-circuit thread budget:
-    /// above the budget's qubit threshold the sweep is split into disjoint
-    /// segment groups and fanned out over the scoped pool. Results are
-    /// bit-identical to the sequential path for any thread count (gate
-    /// kernels are elementwise or permutational per disjoint amplitude
-    /// group — parallelism only changes which thread sweeps which group).
-    pub(crate) fn apply_gate_intra(
-        &mut self,
-        gate: &Gate,
-        intra: &IntraThreads,
-    ) -> Result<(), SimError> {
-        if !intra.parallelizes(self.num_qubits) {
-            return self.apply_gate(gate);
-        }
-        let qubits = gate.qubits();
-        self.validate_qubits(&qubits)?;
-        if !self.apply_gate_specialized_intra(gate, intra) {
-            self.apply_unitary_unchecked_intra(&qubits, gate.matrix().as_slice(), intra);
-        }
-        Ok(())
-    }
-
-    /// Parallel counterpart of [`StateVector::apply_gate_specialized`]:
-    /// diagonal gates sweep contiguous chunks, permutation gates sweep
-    /// segment groups. Falls back to the sequential specialisation when no
-    /// useful decomposition exists.
-    fn apply_gate_specialized_intra(&mut self, gate: &Gate, intra: &IntraThreads) -> bool {
-        match gate {
-            Gate::I(_) => {}
-            Gate::X(q) => {
-                let bit = 1usize << *q;
-                if !self.par_permutation(&[*q], intra, |g| (g & bit == 0).then_some(g | bit)) {
-                    self.apply_x(*q);
-                }
-            }
-            Gate::Z(q) => self.par_phase_flip(*q, Complex::from_real(-1.0), intra),
-            Gate::S(q) => self.par_phase_flip(*q, Complex::I, intra),
-            Gate::Sdg(q) => self.par_phase_flip(*q, Complex::new(0.0, -1.0), intra),
-            Gate::T(q) => self.par_phase_flip(*q, Complex::cis(std::f64::consts::FRAC_PI_4), intra),
-            Gate::Tdg(q) => {
-                self.par_phase_flip(*q, Complex::cis(-std::f64::consts::FRAC_PI_4), intra)
-            }
-            Gate::Swap(a, b) => {
-                let (ba, bb) = (1usize << *a, 1usize << *b);
-                if !self.par_permutation(&[*a, *b], intra, |g| {
-                    (g & ba != 0 && g & bb == 0).then_some((g & !ba) | bb)
-                }) {
-                    self.apply_swap(*a, *b);
-                }
-            }
-            Gate::Cnot { control, target } => {
-                let (cb, tb) = (1usize << *control, 1usize << *target);
-                if !self.par_permutation(&[*target], intra, |g| {
-                    (g & cb != 0 && g & tb == 0).then_some(g | tb)
-                }) {
-                    self.apply_cnot(*control, *target);
-                }
-            }
-            Gate::Cz { control, target } => {
-                let (lo, hi) = (
-                    1usize << (*control).min(*target),
-                    1usize << (*control).max(*target),
-                );
-                self.par_chunks(intra, move |base, rc, ic| cz_slices(rc, ic, base, lo, hi));
-            }
-            Gate::CSwap { control, a, b } => {
-                let (cb, ab, bb) = (1usize << *control, 1usize << *a, 1usize << *b);
-                if !self.par_permutation(&[*a, *b], intra, |g| {
-                    (g & cb != 0 && g & ab != 0 && g & bb == 0).then_some((g & !ab) | bb)
-                }) {
-                    self.apply_cswap(*control, *a, *b);
-                }
-            }
-            _ => return false,
-        }
-        crate::profile::specialized_sweep(gate, self.dim() as u64);
-        true
-    }
-
     /// Applies a sequence of gates in order.
     pub fn apply_gates(&mut self, gates: &[Gate]) -> Result<(), SimError> {
         for g in gates {
@@ -457,7 +324,19 @@ impl StateVector {
     }
 
     fn apply_phase_flip(&mut self, q: usize, phase: Complex) {
-        phase_flip_slices(&mut self.re, &mut self.im, 0, 1usize << q, phase);
+        // Diagonal: multiply the upper (bit-set) half of each block.
+        let bit = 1usize << q;
+        for (rc, ic) in self
+            .re
+            .chunks_exact_mut(bit << 1)
+            .zip(self.im.chunks_exact_mut(bit << 1))
+        {
+            for (r, i) in rc[bit..].iter_mut().zip(ic[bit..].iter_mut()) {
+                let (ar, ai) = (*r, *i);
+                *r = ar * phase.re - ai * phase.im;
+                *i = ar * phase.im + ai * phase.re;
+            }
+        }
     }
 
     fn apply_swap(&mut self, a: usize, b: usize) {
@@ -510,7 +389,22 @@ impl StateVector {
         // Diagonal: flip the sign where both bits are set. No multiplies.
         let lo = 1usize << control.min(target);
         let hi = 1usize << control.max(target);
-        cz_slices(&mut self.re, &mut self.im, 0, lo, hi);
+        for (rc, ic) in self
+            .re
+            .chunks_exact_mut(hi << 1)
+            .zip(self.im.chunks_exact_mut(hi << 1))
+        {
+            // lo < hi ⇒ the upper half is a whole number of lo-strips.
+            for (rs, is) in rc[hi..]
+                .chunks_exact_mut(lo << 1)
+                .zip(ic[hi..].chunks_exact_mut(lo << 1))
+            {
+                for (r, i) in rs[lo..].iter_mut().zip(is[lo..].iter_mut()) {
+                    *r = -*r;
+                    *i = -*i;
+                }
+            }
+        }
     }
 
     fn apply_cswap(&mut self, control: usize, a: usize, b: usize) {
@@ -878,319 +772,11 @@ impl StateVector {
         }
     }
 
-    /// The parallel counterpart of
-    /// [`StateVector::apply_unitary_unchecked`]: the same dense kernel,
-    /// with the sweep split into disjoint segment groups dispatched over
-    /// the intra-circuit pool. Falls back to the sequential kernels below
-    /// the budget's threshold or when no useful decomposition exists, and
-    /// reproduces the sequential per-amplitude arithmetic expression
-    /// exactly (the leaf sweeps are shared helper functions), so the result
-    /// is bit-identical for any thread count.
-    pub(crate) fn apply_unitary_unchecked_intra(
-        &mut self,
-        qubits: &[usize],
-        m: &[Complex],
-        intra: &IntraThreads,
-    ) {
-        if !intra.parallelizes(self.num_qubits) {
-            return self.apply_unitary_unchecked(qubits, m);
-        }
-        if !qubits.is_empty() {
-            crate::profile::dense_sweep(self.dim() as u64);
-        }
-        match qubits.len() {
-            0 => {}
-            1 => {
-                if !self.par_unitary1(qubits[0], m, intra) {
-                    self.apply_unitary1(qubits[0], m);
-                }
-            }
-            2 => {
-                if !self.par_unitary2(qubits[0], qubits[1], m, intra) {
-                    self.apply_unitary2(qubits[0], qubits[1], m);
-                }
-            }
-            _ => {
-                if !self.par_unitary_k(qubits, m, intra) {
-                    self.apply_unitary_k(qubits, m);
-                }
-            }
-        }
-    }
-
-    /// Parallel sweep over contiguous cache-block chunk pairs of the SoA
-    /// halves: each worker receives `(global_base, re_chunk, im_chunk)`.
-    /// Used by the diagonal specialisations (phase flips, CZ).
-    fn par_chunks(
-        &mut self,
-        intra: &IntraThreads,
-        f: impl Fn(usize, &mut [f64], &mut [f64]) + Sync,
-    ) {
-        const CHUNK: usize = 1 << CACHE_BLOCK_BITS;
-        let items: Vec<(usize, &mut [f64], &mut [f64])> = self
-            .re
-            .chunks_mut(CHUNK)
-            .zip(self.im.chunks_mut(CHUNK))
-            .enumerate()
-            .map(|(c, (rc, ic))| (c * CHUNK, rc, ic))
-            .collect();
-        intra
-            .pool()
-            .scoped_map(items, |_, (base, rc, ic)| f(base, rc, ic));
-    }
-
-    fn par_phase_flip(&mut self, q: usize, phase: Complex, intra: &IntraThreads) {
-        let bit = 1usize << q;
-        self.par_chunks(intra, move |base, rc, ic| {
-            phase_flip_slices(rc, ic, base, bit, phase)
-        });
-    }
-
-    /// Parallel permutation sweep over segment groups coupling `coupled`
-    /// qubits. `pair(g)` returns the swap partner when `g` is a pair's
-    /// canonical initiator (so every unordered pair is swapped exactly
-    /// once, as in the sequential loops). Returns `false` when no
-    /// decomposition exists — the caller then runs the sequential path.
-    fn par_permutation(
-        &mut self,
-        coupled: &[usize],
-        intra: &IntraThreads,
-        pair: impl Fn(usize) -> Option<usize> + Sync,
-    ) -> bool {
-        let Some(plan) = SegPlan::plan(self.num_qubits, coupled, intra.threads()) else {
-            return false;
-        };
-        let seg_mask = (1usize << plan.seg_bits) - 1;
-        let items = plan.split(&mut self.re, &mut self.im);
-        let plan = &plan;
-        intra.pool().scoped_map(items, |_, mut item| {
-            for si in 0..item.segs.len() {
-                let base = item.segs[si].0;
-                for i in 0..=seg_mask {
-                    let g = base | i;
-                    let Some(j) = pair(g) else { continue };
-                    // The partner differs from g only in coupled bits, so
-                    // it lives inside this item by construction.
-                    let sj = plan.seg_of(j);
-                    let lj = j & seg_mask;
-                    match sj.cmp(&si) {
-                        std::cmp::Ordering::Equal => {
-                            item.segs[si].1.swap(i, lj);
-                            item.segs[si].2.swap(i, lj);
-                        }
-                        std::cmp::Ordering::Greater => {
-                            let (lo, hi) = item.segs.split_at_mut(sj);
-                            std::mem::swap(&mut lo[si].1[i], &mut hi[0].1[lj]);
-                            std::mem::swap(&mut lo[si].2[i], &mut hi[0].2[lj]);
-                        }
-                        std::cmp::Ordering::Less => {
-                            let (lo, hi) = item.segs.split_at_mut(si);
-                            std::mem::swap(&mut lo[sj].1[lj], &mut hi[0].1[i]);
-                            std::mem::swap(&mut lo[sj].2[lj], &mut hi[0].2[i]);
-                        }
-                    }
-                }
-            }
-        });
-        true
-    }
-
-    /// Parallel single-qubit dense kernel, butterfly-exact with
-    /// [`StateVector::apply_unitary1`] (both call [`butterfly1`]).
-    fn par_unitary1(&mut self, q: usize, m: &[Complex], intra: &IntraThreads) -> bool {
-        debug_assert_eq!(m.len(), 4);
-        let Some(plan) = SegPlan::plan(self.num_qubits, &[q], intra.threads()) else {
-            return false;
-        };
-        let mm = [m[0], m[1], m[2], m[3]];
-        let step = 1usize << q;
-        let peeled = q >= plan.seg_bits;
-        let items = plan.split(&mut self.re, &mut self.im);
-        intra.pool().scoped_map(items, |_, mut item| {
-            if peeled {
-                // The operand qubit selects between the item's two
-                // segments: zeros in segs[0], ones in segs[1].
-                let (zeros, ones) = item.segs.split_at_mut(1);
-                let (_, zr, zi) = &mut zeros[0];
-                let (_, or, oi) = &mut ones[0];
-                butterfly1(&mm, zr, zi, or, oi);
-            } else {
-                for (_, sr, si) in item.segs.iter_mut() {
-                    for (rc, ic) in sr
-                        .chunks_exact_mut(step << 1)
-                        .zip(si.chunks_exact_mut(step << 1))
-                    {
-                        let (r0, r1) = rc.split_at_mut(step);
-                        let (i0, i1) = ic.split_at_mut(step);
-                        butterfly1(&mm, r0, i0, r1, i1);
-                    }
-                }
-            }
-        });
-        true
-    }
-
-    /// Parallel two-qubit dense kernel, expression-exact with
-    /// [`StateVector::apply_unitary2`]: the matrix is conjugated into the
-    /// (hi, lo) slice layout up front exactly as the sequential sweep does,
-    /// and every amplitude quartet goes through the identical [`quartet`]
-    /// update.
-    fn par_unitary2(&mut self, q0: usize, q1: usize, m: &[Complex], intra: &IntraThreads) -> bool {
-        debug_assert_eq!(m.len(), 16);
-        let (lo, hi) = (q0.min(q1), q0.max(q1));
-        let Some(plan) = SegPlan::plan(self.num_qubits, &[lo, hi], intra.threads()) else {
-            return false;
-        };
-        let s_lo = 1usize << lo;
-        let mm = Self::conjugate_two_qubit(q0, lo, m);
-        let seg_bits = plan.seg_bits;
-        let s_hi = 1usize << hi;
-        let items = plan.split(&mut self.re, &mut self.im);
-        intra.pool().scoped_map(items, |_, mut item| {
-            if hi < seg_bits {
-                // Both operands internal: the sequential sweep per segment.
-                for (_, sr, si) in item.segs.iter_mut() {
-                    for (rc, ic) in sr
-                        .chunks_exact_mut(s_hi << 1)
-                        .zip(si.chunks_exact_mut(s_hi << 1))
-                    {
-                        let (rh0, rh1) = rc.split_at_mut(s_hi);
-                        let (ih0, ih1) = ic.split_at_mut(s_hi);
-                        for (((rs0, is0), rs1), is1) in rh0
-                            .chunks_exact_mut(s_lo << 1)
-                            .zip(ih0.chunks_exact_mut(s_lo << 1))
-                            .zip(rh1.chunks_exact_mut(s_lo << 1))
-                            .zip(ih1.chunks_exact_mut(s_lo << 1))
-                        {
-                            let (r0, r1) = rs0.split_at_mut(s_lo);
-                            let (i0, i1) = is0.split_at_mut(s_lo);
-                            let (r2, r3) = rs1.split_at_mut(s_lo);
-                            let (i2, i3) = is1.split_at_mut(s_lo);
-                            quartet(&mm, r0, i0, r1, i1, r2, i2, r3, i3);
-                        }
-                    }
-                }
-            } else if lo < seg_bits {
-                // hi peeled (segs[0] = hi 0, segs[1] = hi 1), lo internal.
-                let (h0, h1) = item.segs.split_at_mut(1);
-                let (_, h0r, h0i) = &mut h0[0];
-                let (_, h1r, h1i) = &mut h1[0];
-                for (((rs0, is0), rs1), is1) in h0r
-                    .chunks_exact_mut(s_lo << 1)
-                    .zip(h0i.chunks_exact_mut(s_lo << 1))
-                    .zip(h1r.chunks_exact_mut(s_lo << 1))
-                    .zip(h1i.chunks_exact_mut(s_lo << 1))
-                {
-                    let (r0, r1) = rs0.split_at_mut(s_lo);
-                    let (i0, i1) = is0.split_at_mut(s_lo);
-                    let (r2, r3) = rs1.split_at_mut(s_lo);
-                    let (i2, i3) = is1.split_at_mut(s_lo);
-                    quartet(&mm, r0, i0, r1, i1, r2, i2, r3, i3);
-                }
-            } else {
-                // Both peeled: segs ordered (lo, hi) ascending → indices
-                // 0b00, 0b01 (lo set), 0b10 (hi set), 0b11 map onto the
-                // (hi, lo) quartet as a00, a01, a10, a11.
-                let (left, right) = item.segs.split_at_mut(2);
-                let (s00, s01) = left.split_at_mut(1);
-                let (s10, s11) = right.split_at_mut(1);
-                let (_, r0, i0) = &mut s00[0];
-                let (_, r1, i1) = &mut s01[0];
-                let (_, r2, i2) = &mut s10[0];
-                let (_, r3, i3) = &mut s11[0];
-                quartet(&mm, r0, i0, r1, i1, r2, i2, r3, i3);
-            }
-        });
-        true
-    }
-
-    /// Parallel k-qubit dense kernel (3 ≤ k ≤ [`MAX_DENSE_QUBITS`]),
-    /// expression-exact with [`StateVector::apply_unitary_k`]: per base
-    /// index, the same scratch gather in matrix-basis order and the same
-    /// zero-seeded accumulation ([`krow`]) over columns.
-    fn par_unitary_k(&mut self, qubits: &[usize], m: &[Complex], intra: &IntraThreads) -> bool {
-        let k = qubits.len();
-        debug_assert!(k <= MAX_DENSE_QUBITS);
-        let size = 1usize << k;
-        debug_assert_eq!(m.len(), size * size);
-        let Some(plan) = SegPlan::plan(self.num_qubits, qubits, intra.threads()) else {
-            return false;
-        };
-        // Per matrix-basis-state segment selector and in-segment offset.
-        let mut seg_sel = [0usize; 1 << MAX_DENSE_QUBITS];
-        let mut low_off = [0usize; 1 << MAX_DENSE_QUBITS];
-        for (sub, (sel, off)) in seg_sel[..size]
-            .iter_mut()
-            .zip(low_off[..size].iter_mut())
-            .enumerate()
-        {
-            for (bit, &q) in qubits.iter().enumerate() {
-                if sub & (1 << bit) != 0 {
-                    if q >= plan.seg_bits {
-                        let r = plan
-                            .peeled
-                            .iter()
-                            .position(|&p| p == q)
-                            .expect("coupled high qubit must be peeled");
-                        *sel |= 1 << r;
-                    } else {
-                        *off |= 1 << q;
-                    }
-                }
-            }
-        }
-        // Ascending internal operand positions for base enumeration.
-        let mut low = [0usize; MAX_DENSE_QUBITS];
-        let mut low_count = 0;
-        for &q in qubits {
-            if q < plan.seg_bits {
-                low[low_count] = q;
-                low_count += 1;
-            }
-        }
-        low[..low_count].sort_unstable();
-        let bases = (1usize << plan.seg_bits) >> low_count;
-        let items = plan.split(&mut self.re, &mut self.im);
-        intra.pool().scoped_map(items, |_, mut item| {
-            let mut s_re = [0.0f64; 1 << MAX_DENSE_QUBITS];
-            let mut s_im = [0.0f64; 1 << MAX_DENSE_QUBITS];
-            for i in 0..bases {
-                let mut base = i;
-                for &p in &low[..low_count] {
-                    base = Self::insert_zero_bit(base, p);
-                }
-                for (sub, (&sel, &off)) in seg_sel[..size]
-                    .iter()
-                    .zip(low_off[..size].iter())
-                    .enumerate()
-                {
-                    s_re[sub] = item.segs[sel].1[base | off];
-                    s_im[sub] = item.segs[sel].2[base | off];
-                }
-                for (row, (&sel, &off)) in seg_sel[..size]
-                    .iter()
-                    .zip(low_off[..size].iter())
-                    .enumerate()
-                {
-                    let (acc_re, acc_im) = krow(
-                        &m[row * size..(row + 1) * size],
-                        &s_re[..size],
-                        &s_im[..size],
-                    );
-                    item.segs[sel].1[base | off] = acc_re;
-                    item.segs[sel].2[base | off] = acc_im;
-                }
-            }
-        });
-        true
-    }
-
     /// Probability of measuring qubit `q` in state |1⟩.
     ///
     /// Like [`StateVector::inner_product`], registers above
     /// [`REDUCTION_CHUNK`] amplitudes reduce through the fixed pairwise
-    /// tree, so the parallel variant
-    /// ([`StateVector::probability_of_one_with`]) is bit-identical.
+    /// tree.
     pub fn probability_of_one(&self, q: usize) -> Result<f64, SimError> {
         if q >= self.num_qubits {
             return Err(SimError::QubitOutOfRange {
@@ -1200,33 +786,6 @@ impl StateVector {
         }
         let bit = 1usize << q;
         Ok(probability_tree(&self.re, &self.im, 0, bit))
-    }
-
-    /// [`StateVector::probability_of_one`] with the reduction tree's leaf
-    /// sums fanned out over an intra-circuit thread budget (bit-identical
-    /// for any thread count).
-    pub fn probability_of_one_with(&self, q: usize, intra: &IntraThreads) -> Result<f64, SimError> {
-        if q >= self.num_qubits {
-            return Err(SimError::QubitOutOfRange {
-                qubit: q,
-                num_qubits: self.num_qubits,
-            });
-        }
-        let bit = 1usize << q;
-        if !intra.parallelizes(self.num_qubits) || self.dim() <= REDUCTION_CHUNK {
-            return Ok(probability_tree(&self.re, &self.im, 0, bit));
-        }
-        let leaves = self.dim() / REDUCTION_CHUNK;
-        let partials = intra.pool().scoped_map((0..leaves).collect(), |_, leaf| {
-            let lo = leaf * REDUCTION_CHUNK;
-            probability_leaf(
-                &self.re[lo..lo + REDUCTION_CHUNK],
-                &self.im[lo..lo + REDUCTION_CHUNK],
-                lo,
-                bit,
-            )
-        });
-        Ok(combine_f64(&partials))
     }
 
     /// Expectation value of Pauli-Z on qubit `q`: `P(0) - P(1)`.
@@ -1353,8 +912,7 @@ impl StateVector {
 /// lane `i`, `(a0, a1) ← (m00·a0 + m01·a1, m10·a0 + m11·a1)`, with the
 /// complex products expanded into the exact expression shape used
 /// everywhere (`re·re − im·im` / `re·im + im·re`, products summed left to
-/// right). Both the sequential and the segment-parallel single-qubit
-/// kernels call this, so they are bit-identical by construction.
+/// right).
 fn butterfly1(
     m: &[Complex; 4],
     re0: &mut [f64],
@@ -1392,9 +950,7 @@ fn row4(m: &[Complex], ar: &[f64; 4], ai: &[f64; 4]) -> (f64, f64) {
 }
 
 /// The shared two-qubit quartet sweep over SoA slice strips (`mm` already
-/// conjugated into (hi, lo) layout). Both the sequential and all three
-/// segment-parallel two-qubit cases call this, so they are bit-identical
-/// by construction.
+/// conjugated into (hi, lo) layout).
 #[allow(clippy::too_many_arguments)]
 fn quartet(
     mm: &[Complex; 16],
@@ -1436,8 +992,7 @@ fn quartet(
 }
 
 /// One row of a 2^k-term complex matrix·vector product with a zero-seeded
-/// accumulator (the fold shape shared by the sequential and parallel
-/// k-qubit kernels).
+/// accumulator.
 #[inline(always)]
 fn krow(mrow: &[Complex], s_re: &[f64], s_im: &[f64]) -> (f64, f64) {
     let mut acc_re = 0.0;
@@ -1449,80 +1004,6 @@ fn krow(mrow: &[Complex], s_re: &[f64], s_im: &[f64]) -> (f64, f64) {
     (acc_re, acc_im)
 }
 
-/// Multiplies every amplitude whose global index has `bit` set by `phase`,
-/// sweeping stride-aligned upper slice halves. `base` is the global index
-/// of `re[0]` (only consulted when `bit` spans the whole slice). Shared by
-/// the sequential phase-flip specialisation and the chunked parallel
-/// sweep, so both are bit-identical by construction.
-fn phase_flip_slices(re: &mut [f64], im: &mut [f64], base: usize, bit: usize, phase: Complex) {
-    if bit >= re.len() {
-        if base & bit != 0 {
-            for (r, i) in re.iter_mut().zip(im.iter_mut()) {
-                let (ar, ai) = (*r, *i);
-                *r = ar * phase.re - ai * phase.im;
-                *i = ar * phase.im + ai * phase.re;
-            }
-        }
-        return;
-    }
-    for (rc, ic) in re
-        .chunks_exact_mut(bit << 1)
-        .zip(im.chunks_exact_mut(bit << 1))
-    {
-        let (r1, i1) = (&mut rc[bit..], &mut ic[bit..]);
-        for (r, i) in r1.iter_mut().zip(i1.iter_mut()) {
-            let (ar, ai) = (*r, *i);
-            *r = ar * phase.re - ai * phase.im;
-            *i = ar * phase.im + ai * phase.re;
-        }
-    }
-}
-
-/// Negates every amplitude whose global index has `bit` set (the φ = −1
-/// phase flip, kept multiply-free). Same slice contract as
-/// [`phase_flip_slices`].
-fn negate_slices(re: &mut [f64], im: &mut [f64], base: usize, bit: usize) {
-    if bit >= re.len() {
-        if base & bit != 0 {
-            for (r, i) in re.iter_mut().zip(im.iter_mut()) {
-                *r = -*r;
-                *i = -*i;
-            }
-        }
-        return;
-    }
-    for (rc, ic) in re
-        .chunks_exact_mut(bit << 1)
-        .zip(im.chunks_exact_mut(bit << 1))
-    {
-        for (r, i) in rc[bit..].iter_mut().zip(ic[bit..].iter_mut()) {
-            *r = -*r;
-            *i = -*i;
-        }
-    }
-}
-
-/// CZ over SoA slices: negates amplitudes whose global index has both the
-/// `lo` and `hi` operand bits set. `base` is the global index of `re[0]`.
-/// Sign flips are exact, so the chunked parallel sweep and this sequential
-/// form are bit-identical regardless of sweep order.
-fn cz_slices(re: &mut [f64], im: &mut [f64], base: usize, lo: usize, hi: usize) {
-    debug_assert!(lo < hi);
-    if hi >= re.len() {
-        if base & hi != 0 {
-            negate_slices(re, im, base, lo);
-        }
-        return;
-    }
-    for (rc, ic) in re
-        .chunks_exact_mut(hi << 1)
-        .zip(im.chunks_exact_mut(hi << 1))
-    {
-        // lo < hi ⇒ the upper half is a whole number of lo-strips.
-        negate_slices(&mut rc[hi..], &mut ic[hi..], 0, lo);
-    }
-}
-
 /// One leaf of the inner-product reduction tree over SoA halves, on
 /// registers up to [`REDUCTION_CHUNK`]. The per-lane term is `conj(a)·b`
 /// expanded as `(ar·br + ai·bi, ar·bi − ai·br)`.
@@ -1532,12 +1013,7 @@ fn cz_slices(re: &mut [f64], im: &mut [f64], base: usize, lo: usize, hi: usize) 
 /// pairwise at the end — a fixed shape, so results are deterministic for
 /// a given length, and the lanes break the loop-carried dependency chain
 /// a single running sum would serialize every `add` behind.
-pub(crate) fn inner_product_leaf(
-    a_re: &[f64],
-    a_im: &[f64],
-    b_re: &[f64],
-    b_im: &[f64],
-) -> Complex {
+fn inner_product_leaf(a_re: &[f64], a_im: &[f64], b_re: &[f64], b_im: &[f64]) -> Complex {
     let n = a_re.len();
     assert!(a_im.len() == n && b_re.len() == n && b_im.len() == n);
     let mut sr = [0.0f64; 4];
@@ -1566,9 +1042,8 @@ pub(crate) fn inner_product_leaf(
 
 /// Fixed-shape pairwise reduction of ⟨a|b⟩: balanced halving down to
 /// [`REDUCTION_CHUNK`]-sized leaves. Register dimensions are powers of
-/// two, so the tree is perfect and identical to combining the ordered
-/// leaf sums pairwise ([`combine_complex`]) — which is what makes the
-/// parallel reduction bit-identical.
+/// two, so the tree is perfect: its result equals combining the ordered
+/// leaf sums by balanced halving, whichever way the leaves are visited.
 pub(crate) fn inner_product_tree(
     a_re: &[f64],
     a_im: &[f64],
@@ -1581,16 +1056,6 @@ pub(crate) fn inner_product_tree(
     let mid = a_re.len() / 2;
     inner_product_tree(&a_re[..mid], &a_im[..mid], &b_re[..mid], &b_im[..mid])
         + inner_product_tree(&a_re[mid..], &a_im[mid..], &b_re[mid..], &b_im[mid..])
-}
-
-/// Combines ordered leaf partial sums with the same balanced halving as
-/// [`inner_product_tree`] (leaf counts are powers of two).
-pub(crate) fn combine_complex(partials: &[Complex]) -> Complex {
-    if partials.len() == 1 {
-        return partials[0];
-    }
-    let mid = partials.len() / 2;
-    combine_complex(&partials[..mid]) + combine_complex(&partials[mid..])
 }
 
 /// One leaf of the measurement-probability reduction tree over the
@@ -1625,16 +1090,6 @@ fn probability_tree(re: &[f64], im: &[f64], base: usize, bit: usize) -> f64 {
     let mid = re.len() / 2;
     probability_tree(&re[..mid], &im[..mid], base, bit)
         + probability_tree(&re[mid..], &im[mid..], base + mid, bit)
-}
-
-/// Combines ordered probability leaf sums pairwise (see
-/// [`combine_complex`]).
-pub(crate) fn combine_f64(partials: &[f64]) -> f64 {
-    if partials.len() == 1 {
-        return partials[0];
-    }
-    let mid = partials.len() / 2;
-    combine_f64(&partials[..mid]) + combine_f64(&partials[mid..])
 }
 
 #[cfg(test)]

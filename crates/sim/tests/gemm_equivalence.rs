@@ -6,12 +6,11 @@
 //! today is **bit-identical** (every matrix entry reuses the same fixed
 //! pairwise reduction tree), and this suite pins both: the tolerance
 //! ceiling as the forward-compatible contract, bit equality as the current
-//! behaviour — including across 1/2/8 intra thread budgets.
+//! behaviour.
 
 use proptest::prelude::*;
 use quclassi_sim::circuit::Circuit;
 use quclassi_sim::gemm::StateMatrix;
-use quclassi_sim::intra::IntraThreads;
 use quclassi_sim::state::StateVector;
 
 /// The documented GEMM agreement contract (see `crates/sim/src/gemm.rs`).
@@ -44,29 +43,11 @@ fn assert_fidelity_rows_match(matrix: &StateMatrix, states: &[StateVector], prob
         // …and the current bit-exactness.
         assert_eq!(gemm.to_bits(), pair.to_bits(), "GEMM row not bit-identical");
     }
-    // The threaded sweep is bit-identical to the sequential sweep for any
-    // intra budget, including on registers below the default threshold
-    // (forced via a 1-qubit threshold).
-    for threads in [1usize, 2, 8] {
-        let intra = IntraThreads::new(threads).with_threshold_qubits(1);
-        let mut threaded = vec![0.0f64; states.len()];
-        matrix
-            .fidelities_into_with(probe, &intra, &mut threaded)
-            .unwrap();
-        for (&a, &b) in threaded.iter().zip(out.iter()) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{threads}-thread GEMM sweep diverged from sequential"
-            );
-        }
-    }
 }
 
 proptest! {
     /// Random small registers (2–6 qubits — every row is a single
-    /// reduction leaf): GEMM rows vs per-pair fidelities, sequential and
-    /// threaded.
+    /// reduction leaf): GEMM rows vs per-pair fidelities.
     #[test]
     fn gemm_rows_match_per_pair_fidelity(
         n in 2usize..=6,
@@ -107,11 +88,10 @@ proptest! {
 }
 
 /// A deterministic 13-qubit anchor: each row spans two reduction leaves
-/// (dim 8192 > `REDUCTION_CHUNK` = 4096), so the threaded sweep genuinely
-/// fans leaf work out across rows, and the leaf/combine split itself is
-/// exercised on the sequential path too.
+/// (dim 8192 > `REDUCTION_CHUNK` = 4096), so the leaf/combine split of the
+/// reduction tree is exercised.
 #[test]
-fn multi_leaf_rows_are_bit_identical_across_budgets() {
+fn multi_leaf_rows_are_bit_identical_to_per_pair_fidelity() {
     let n = 13;
     let states: Vec<StateVector> = (1..4).map(|s| mixed_state(n, s)).collect();
     let probe = mixed_state(n, 77);

@@ -271,3 +271,82 @@ proptest! {
         prop_assert_eq!(layout, (0..4).collect::<Vec<_>>());
     }
 }
+
+/// The reduction tree pinned by hand on a 15-qubit register (eight
+/// 2^12-amplitude leaves): each leaf folds in four interleaved lanes
+/// combined as `(l0 + l1) + (l2 + l3)`, and the leaf sums combine by
+/// balanced halving. `inner_product`, `probability_of_one` and a packed
+/// `StateMatrix` row must return exactly these bits.
+#[test]
+fn reductions_follow_the_fixed_pairwise_tree() {
+    const LEAF: usize = 1 << 12;
+    fn halve<T: Copy + std::ops::Add<Output = T>>(sums: &[T]) -> T {
+        if sums.len() == 1 {
+            return sums[0];
+        }
+        let mid = sums.len() / 2;
+        halve(&sums[..mid]) + halve(&sums[mid..])
+    }
+    fn mixed_state(n: usize, seed: f64) -> StateVector {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q)
+                .ry(q, seed + 0.37 * q as f64)
+                .rz(q, 0.21 - seed * q as f64);
+        }
+        for q in 0..n - 1 {
+            c.cnot(q, q + 1);
+        }
+        c.execute(&[]).unwrap()
+    }
+    let n = 15;
+    let a = mixed_state(n, 0.4);
+    let b = mixed_state(n, -1.3);
+    assert_eq!(a.dim() / LEAF, 8);
+
+    let inner_leaves: Vec<Complex> = (0..a.dim())
+        .step_by(LEAF)
+        .map(|lo| {
+            let (ar, ai) = (&a.re_parts()[lo..lo + LEAF], &a.im_parts()[lo..lo + LEAF]);
+            let (br, bi) = (&b.re_parts()[lo..lo + LEAF], &b.im_parts()[lo..lo + LEAF]);
+            let mut sr = [0.0f64; 4];
+            let mut si = [0.0f64; 4];
+            for i in 0..LEAF {
+                sr[i % 4] += ar[i] * br[i] + ai[i] * bi[i];
+                si[i % 4] += ar[i] * bi[i] - ai[i] * br[i];
+            }
+            Complex::new(
+                (sr[0] + sr[1]) + (sr[2] + sr[3]),
+                (si[0] + si[1]) + (si[2] + si[3]),
+            )
+        })
+        .collect();
+    let expected = halve(&inner_leaves);
+    let got = a.inner_product(&b).unwrap();
+    assert_eq!(got.re.to_bits(), expected.re.to_bits());
+    assert_eq!(got.im.to_bits(), expected.im.to_bits());
+
+    // One packed row against the same probe squares the same tree.
+    let matrix = StateMatrix::pack(&[b.clone(), a.clone()]).unwrap();
+    let mut row = [0.0f64; 2];
+    matrix.fidelities_into(&b, &mut row).unwrap();
+    assert_eq!(row[1].to_bits(), expected.norm_sqr().to_bits());
+
+    // A qubit inside a leaf (3) and one that selects whole leaves (13).
+    for q in [3usize, 13] {
+        let bit = 1usize << q;
+        let leaves: Vec<f64> = (0..a.dim())
+            .step_by(LEAF)
+            .map(|lo| {
+                let mut acc = 0.0;
+                for i in (lo..lo + LEAF).filter(|i| i & bit != 0) {
+                    let (r, im) = (a.re_parts()[i], a.im_parts()[i]);
+                    acc += r * r + im * im;
+                }
+                acc
+            })
+            .collect();
+        let p1 = a.probability_of_one(q).unwrap();
+        assert_eq!(p1.to_bits(), halve(&leaves).to_bits(), "qubit {q}");
+    }
+}

@@ -1,6 +1,6 @@
 //! Asserts the zero-allocation contract of the scratch-reusing replay
 //! path: once a [`BoundFusedCircuit`] and its scratch statevector exist,
-//! steady-state sequential gate application — prelude copy, every dense
+//! steady-state gate application — prelude copy, every dense
 //! group, every diagonal/permutation specialisation, and the measurement
 //! reduction — performs **no heap allocation at all**.
 //!
@@ -13,7 +13,6 @@
 use quclassi_sim::circuit::Circuit;
 use quclassi_sim::fusion::FusedCircuit;
 use quclassi_sim::gemm::StateMatrix;
-use quclassi_sim::intra::IntraThreads;
 use quclassi_sim::state::StateVector;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,18 +87,17 @@ fn bound_replay_with_reused_scratch_performs_zero_heap_allocation() {
     let circuit = replay_workload(n);
     let fused = FusedCircuit::compile(&circuit);
     let bound = fused.bind(&[0.83, -1.21]).unwrap();
-    let intra = IntraThreads::single_threaded();
 
     let mut scratch = StateVector::zero_state(n);
     // Warm-up: sizes the scratch buffer and faults in whatever lazy
     // machinery the first execution touches.
-    bound.execute_reusing(&mut scratch, &intra);
+    bound.execute_reusing(&mut scratch);
     let expected = scratch.clone();
     let p_expected = scratch.probability_of_one(0).unwrap();
 
     let before = allocations();
     for _ in 0..100 {
-        bound.execute_reusing(&mut scratch, &intra);
+        bound.execute_reusing(&mut scratch);
         let p = scratch.probability_of_one(0).unwrap();
         assert_eq!(p.to_bits(), p_expected.to_bits());
     }
@@ -124,7 +122,6 @@ fn gemm_fidelity_sweep_is_allocation_free_in_steady_state() {
     let n = 10;
     let circuit = replay_workload(n);
     let fused = FusedCircuit::compile(&circuit);
-    let intra = IntraThreads::single_threaded();
     let classes: Vec<StateVector> = [0.31, -0.87, 1.62]
         .iter()
         .map(|&p| {
@@ -139,18 +136,14 @@ fn gemm_fidelity_sweep_is_allocation_free_in_steady_state() {
     let mut fidelities = vec![0.0f64; matrix.rows()];
     // Warm-up, and the reference row the steady-state sweeps must keep
     // reproducing.
-    bound.execute_reusing(&mut scratch, &intra);
-    matrix
-        .fidelities_into_with(&scratch, &intra, &mut fidelities)
-        .unwrap();
+    bound.execute_reusing(&mut scratch);
+    matrix.fidelities_into(&scratch, &mut fidelities).unwrap();
     let expected: Vec<u64> = fidelities.iter().map(|f| f.to_bits()).collect();
 
     let before = allocations();
     for _ in 0..100 {
-        bound.execute_reusing(&mut scratch, &intra);
-        matrix
-            .fidelities_into_with(&scratch, &intra, &mut fidelities)
-            .unwrap();
+        bound.execute_reusing(&mut scratch);
+        matrix.fidelities_into(&scratch, &mut fidelities).unwrap();
         for (f, &bits) in fidelities.iter().zip(expected.iter()) {
             assert_eq!(f.to_bits(), bits);
         }
@@ -172,19 +165,14 @@ fn fused_execute_reusing_amortizes_to_the_dynamic_rebuild_only() {
     let n = 10;
     let circuit = replay_workload(n);
     let fused = FusedCircuit::compile(&circuit);
-    let intra = IntraThreads::single_threaded();
     let params = [0.83, -1.21];
 
     let mut scratch = StateVector::zero_state(n);
-    fused
-        .execute_reusing(&params, &mut scratch, &intra)
-        .unwrap();
+    fused.execute_reusing(&params, &mut scratch).unwrap();
 
     let before = allocations();
     for _ in 0..10 {
-        fused
-            .execute_reusing(&params, &mut scratch, &intra)
-            .unwrap();
+        fused.execute_reusing(&params, &mut scratch).unwrap();
     }
     let per_execution = (allocations() - before) / 10;
     assert!(
