@@ -17,12 +17,12 @@ use quclassi::encoding::{DataEncoder, EncodingStrategy};
 use quclassi::gradient::shifted_parameter_sets;
 use quclassi::layers::LayerStack;
 use quclassi::swap_test::{build_swap_test_circuit, fidelity_from_p0, FidelityEstimator};
+use quclassi_bench::bench_json;
 use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::executor::Executor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 struct Workload {
     stack: LayerStack,
@@ -104,19 +104,6 @@ fn bench_execution_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median wall-clock nanoseconds of `reps` runs of `f`.
-fn median_ns<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn emit_bench_json(smoke: bool) {
     let reps = if smoke { 1 } else { 30 };
     let threads = std::thread::available_parallelism()
@@ -131,9 +118,9 @@ fn emit_bench_json(smoke: bool) {
         let a = eval_unfused_sequential(&w);
         let b = eval_fused_batched(&w, &single);
         assert!((a - b).abs() < 1e-9, "paths disagree: {a} vs {b}");
-        let unfused = median_ns(reps, || eval_unfused_sequential(&w));
-        let fused = median_ns(reps, || eval_fused_batched(&w, &single));
-        let batched = median_ns(reps, || eval_fused_batched(&w, &pooled));
+        let unfused = bench_json::median_ns(reps, || eval_unfused_sequential(&w));
+        let fused = bench_json::median_ns(reps, || eval_fused_batched(&w, &single));
+        let batched = bench_json::median_ns(reps, || eval_fused_batched(&w, &pooled));
         entries.push(format!(
             concat!(
                 "    {{\"workload\": \"swap_test_{}_features\", \"total_qubits\": {}, ",
@@ -152,27 +139,14 @@ fn emit_bench_json(smoke: bool) {
             threads
         ));
     }
-    let json = format!(
-        "{{\n  \"bench\": \"batched_execution\",\n  \"smoke\": {},\n  \"reps\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+    bench_json::emit(
+        "batched_execution",
         smoke,
-        reps,
-        entries.join(",\n")
+        &[
+            ("reps", reps.to_string()),
+            ("workloads", bench_json::array(&entries)),
+        ],
     );
-    if smoke {
-        // Smoke runs exercise the paths but must not clobber the committed
-        // perf-trajectory numbers with single-rep noise.
-        println!("smoke mode: skipping BENCH_batched_execution.json update");
-    } else {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_batched_execution.json"
-        );
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    print!("{json}");
 }
 
 criterion_group!(benches, bench_execution_paths);

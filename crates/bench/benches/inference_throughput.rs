@@ -15,13 +15,13 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use quclassi::model::{QuClassiConfig, QuClassiModel};
 use quclassi::swap_test::FidelityEstimator;
+use quclassi_bench::bench_json;
 use quclassi_infer::CompiledModel;
 use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::executor::Executor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 struct Workload {
     name: &'static str,
@@ -108,19 +108,6 @@ fn bench_serving_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median wall-clock nanoseconds of `reps` runs of `f`.
-fn median_ns<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn emit_entry(
     w: &Workload,
     method: &str,
@@ -146,12 +133,13 @@ fn emit_entry(
         }
     }
 
-    let uncompiled_ns = median_ns(reps, || serve_uncompiled(w, estimator)) / n;
-    let compiled_ns = median_ns(reps, || serve_compiled_single(w, &compiled)) / n;
+    let uncompiled_ns = bench_json::median_ns(reps, || serve_uncompiled(w, estimator)) / n;
+    let compiled_ns = bench_json::median_ns(reps, || serve_compiled_single(w, &compiled)) / n;
     // Warm the fingerprint cache once, then measure repeated-input serving.
     serve_compiled_single(w, &cached);
-    let cached_ns = median_ns(reps, || serve_compiled_single(w, &cached)) / n;
-    let batched_ns = median_ns(reps, || serve_compiled_batched(w, &compiled, batch)) / n;
+    let cached_ns = bench_json::median_ns(reps, || serve_compiled_single(w, &cached)) / n;
+    let batched_ns =
+        bench_json::median_ns(reps, || serve_compiled_batched(w, &compiled, batch)) / n;
 
     format!(
         concat!(
@@ -205,27 +193,14 @@ fn emit_bench_json(smoke: bool) {
             &batch,
         ));
     }
-    let json = format!(
-        "{{\n  \"bench\": \"inference_throughput\",\n  \"smoke\": {},\n  \"reps\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+    bench_json::emit(
+        "inference_throughput",
         smoke,
-        reps,
-        entries.join(",\n")
+        &[
+            ("reps", reps.to_string()),
+            ("workloads", bench_json::array(&entries)),
+        ],
     );
-    if smoke {
-        // Smoke runs exercise the paths but must not clobber the committed
-        // perf-trajectory numbers with single-rep noise.
-        println!("smoke mode: skipping BENCH_inference_throughput.json update");
-    } else {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_inference_throughput.json"
-        );
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    print!("{json}");
 }
 
 criterion_group!(benches, bench_serving_paths);

@@ -28,6 +28,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use quclassi::model::{QuClassiConfig, QuClassiModel};
 use quclassi::swap_test::FidelityEstimator;
 use quclassi::trainer::{Trainer, TrainingConfig};
+use quclassi_bench::bench_json;
 use quclassi_datasets::stream::ReplayStream;
 use quclassi_infer::CompiledModel;
 use quclassi_serve::{
@@ -309,33 +310,17 @@ fn emit_bench_json(smoke: bool) {
             cells.join(",\n")
         ));
     }
-    let connections = emit_connections_json(smoke);
-    let online = emit_online_json(smoke);
-    let observability = emit_observability_json(smoke);
-    let json = format!(
-        "{{\n  \"bench\": \"serving_latency\",\n  \"smoke\": {},\n  \"requests_per_producer\": {},\n{}\n{}\n{}\n  \"workloads\": [\n{}\n  ]\n}}\n",
+    bench_json::emit(
+        "serving_latency",
         smoke,
-        requests_per_producer,
-        connections,
-        online,
-        observability,
-        workload_entries.join(",\n")
+        &[
+            ("requests_per_producer", requests_per_producer.to_string()),
+            ("connections_sweep", emit_connections_json(smoke)),
+            ("online_penalty", emit_online_json(smoke)),
+            ("observability_overhead", emit_observability_json(smoke)),
+            ("workloads", bench_json::array(&workload_entries)),
+        ],
     );
-    if smoke {
-        // Smoke runs exercise the full load-generator path but must not
-        // clobber the committed perf-trajectory numbers with tiny-run noise.
-        println!("smoke mode: skipping BENCH_serving_latency.json update");
-    } else {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_serving_latency.json"
-        );
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    print!("{json}");
 }
 
 /// One closed-loop measurement with an `OnlineLearner` training, shadowing
@@ -447,10 +432,10 @@ fn emit_online_json(smoke: bool) -> String {
     let (online, answered, train_cycles, promotions) = run_online_cell(&w, producers, max_cycles);
     format!(
         concat!(
-            "  \"online_penalty\": {{\"workload\": \"mnist_16_features\", \"total_qubits\": {}, ",
+            "{{\"workload\": \"mnist_16_features\", \"total_qubits\": {}, ",
             "\"producers\": {}, \"train_cycles\": {}, \"promotions\": {},\n",
             "    \"throughput_penalty\": {:.2}, \"p99_inflation\": {:.2},\n",
-            "    \"cells\": [\n{},\n{}\n    ]}},"
+            "    \"cells\": [\n{},\n{}\n    ]}}"
         ),
         w.total_qubits,
         producers,
@@ -520,11 +505,11 @@ fn emit_observability_json(smoke: bool) -> String {
     let total = producers * requests_per_producer;
     format!(
         concat!(
-            "  \"observability_overhead\": {{\"workload\": \"iris_4_features\", ",
+            "{{\"workload\": \"iris_4_features\", ",
             "\"producers\": {}, \"trace_capacity\": {},\n",
             "    \"enabled_vs_disabled_throughput\": {:.3}, ",
             "\"profiled_vs_disabled_throughput\": {:.3},\n",
-            "    \"cells\": [\n{},\n{},\n{}\n    ]}},"
+            "    \"cells\": [\n{},\n{},\n{}\n    ]}}"
         ),
         producers,
         quclassi_serve::DEFAULT_TRACE_CAPACITY,
@@ -699,7 +684,7 @@ fn emit_connections_json(smoke: bool) -> String {
         cells.push(emit_wire_cell_json("event_loop", connections, &r));
     }
     format!(
-        "  \"connections_sweep\": {{\"workload\": \"iris_4_features\", \"roundtrips\": {}, \"pipelined_burst\": {},\n    \"cells\": [\n{}\n    ]}},",
+        "{{\"workload\": \"iris_4_features\", \"roundtrips\": {}, \"pipelined_burst\": {},\n    \"cells\": [\n{}\n    ]}}",
         roundtrips,
         pipelined,
         cells.join(",\n")

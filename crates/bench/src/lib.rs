@@ -12,7 +12,10 @@
 //! * [`data`] — dataset preparation pipelines (Iris, PCA-reduced synthetic
 //!   MNIST digit subsets) matching the paper's preprocessing;
 //! * [`runtime`] — the `QUCLASSI_QUICK` switch that shrinks workloads for
-//!   smoke runs.
+//!   smoke runs;
+//! * [`bench_json`] — the writer of the `BENCH_*.json` reports the
+//!   criterion benches keep at the workspace root, each stamped with the
+//!   host it was measured on.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -151,6 +154,123 @@ pub mod runtime {
             quick_value
         } else {
             full
+        }
+    }
+}
+
+/// The `BENCH_*.json` reports of the criterion benches, and the timing
+/// helper their numbers come from.
+pub mod bench_json {
+    use quclassi_serve::json::Json;
+    use std::process::Command;
+
+    /// The workspace root, where the reports live.
+    const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+    /// Trimmed stdout of a command run at the workspace root, or
+    /// `"unknown"` when it cannot run or fails.
+    fn command_output(program: &str, args: &[&str]) -> String {
+        Command::new(program)
+            .args(args)
+            .current_dir(ROOT)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|text| text.trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    }
+
+    /// The host a report is measured on: core count, CPU model (from
+    /// `/proc/cpuinfo`), `rustc --version` and the `git rev-parse HEAD`
+    /// commit. A figure that cannot be read is `"unknown"`.
+    fn host() -> Json {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+        let cpu = cpuinfo
+            .lines()
+            .find_map(|line| line.strip_prefix("model name")?.split_once(':'))
+            .map_or("unknown", |(_, model)| model.trim());
+        let sha = command_output("git", &["rev-parse", "HEAD"]);
+        Json::obj(vec![
+            ("cores", Json::Num(cores as f64)),
+            ("cpu", Json::str(cpu)),
+            ("rustc", Json::str(command_output("rustc", &["--version"]))),
+            ("git_sha", Json::str(sha)),
+        ])
+    }
+
+    /// Renders the report of `bench`: `bench`, `smoke` and the `host`
+    /// stamp, then each `(key, JSON value text)` section in order.
+    fn render(bench: &str, smoke: bool, sections: &[(&str, String)]) -> String {
+        let mut out = format!(
+            "{{\n  \"bench\": {},\n  \"smoke\": {smoke},\n  \"host\": {}",
+            Json::str(bench),
+            host()
+        );
+        for (key, value) in sections {
+            out.push_str(&format!(",\n  {}: {value}", Json::str(*key)));
+        }
+        out + "\n}\n"
+    }
+
+    /// Prints the report of `bench`. Unless `smoke`, it also replaces
+    /// `BENCH_<bench>.json` at the workspace root; smoke runs exercise the
+    /// paths but must not overwrite the committed numbers with
+    /// single-repetition noise.
+    pub fn emit(bench: &str, smoke: bool, sections: &[(&str, String)]) {
+        let json = render(bench, smoke, sections);
+        if smoke {
+            println!("smoke mode: skipping BENCH_{bench}.json update");
+        } else {
+            let path = format!("{ROOT}/BENCH_{bench}.json");
+            match std::fs::write(&path, &json) {
+                Ok(()) => println!("wrote {path}"),
+                Err(e) => eprintln!("could not write {path}: {e}"),
+            }
+        }
+        print!("{json}");
+    }
+
+    /// Median wall-clock nanoseconds of `reps` runs of `f`.
+    pub fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+        let mut samples: Vec<f64> = (0..reps)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                std::hint::black_box(f());
+                start.elapsed().as_nanos() as f64
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    }
+
+    /// A JSON array of pre-rendered entries, one per line.
+    pub fn array(entries: &[String]) -> String {
+        format!("[\n{}\n  ]", entries.join(",\n"))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn reports_parse_and_carry_the_host_stamp() {
+            let sections = [
+                ("reps", "3".to_string()),
+                ("workloads", array(&["    {\"x\": 1}".to_string()])),
+            ];
+            let text = render("demo", true, &sections);
+            let report = Json::parse(&text).expect("a report is valid JSON");
+            assert_eq!(report.get("bench").and_then(Json::as_str), Some("demo"));
+            assert_eq!(report.get("reps").and_then(Json::as_u64), Some(3));
+            let stamp = report.get("host").expect("host stamp");
+            assert!(stamp.get("cores").and_then(Json::as_u64).unwrap() >= 1);
+            for key in ["cpu", "rustc", "git_sha"] {
+                assert!(!stamp.get(key).and_then(Json::as_str).unwrap().is_empty());
+            }
+            let workloads = report.get("workloads").and_then(Json::as_arr).unwrap();
+            assert_eq!(workloads[0].get("x").and_then(Json::as_u64), Some(1));
         }
     }
 }

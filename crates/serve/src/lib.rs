@@ -98,24 +98,36 @@ pub use eventloop::WireServer;
 pub use faults::{Fault, FaultPlan};
 pub use metrics::{
     Counter, FloatGauge, FlushReason, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry,
-    ModelStatsSnapshot, StageLatencies,
+    MetricsSnapshot, ModelMetrics, ModelStatsSnapshot,
 };
 pub use online::{CycleOutcome, CycleReport, OnlineConfig, OnlineLearner, OnlineReport};
 pub use registry::{ModelEntry, ModelRegistry};
 pub use runtime::{
-    Client, CompletionNotifier, MetricsSnapshot, ModelMetrics, PendingPrediction, ServeConfig,
-    ServeResponse, ServeRuntime,
+    Client, CompletionNotifier, PendingPrediction, ServeConfig, ServeResponse, ServeRuntime,
 };
 pub use shadow::ShadowReport;
 pub use trace::{TraceRing, TraceSpan, DEFAULT_TRACE_CAPACITY};
 pub use wire::{FrameDecoder, WireClient, WireConfig, WirePrediction};
 
+/// An analytic QC-S artifact over 4 features and `classes` classes, with
+/// random parameters drawn from `seed`, for unit tests.
+#[cfg(test)]
+pub(crate) fn test_artifact(seed: u64, classes: usize) -> quclassi_infer::CompiledModel {
+    use quclassi::model::{QuClassiConfig, QuClassiModel};
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let model = QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, classes), &mut rng);
+    let estimator = quclassi::swap_test::FidelityEstimator::analytic();
+    quclassi_infer::CompiledModel::compile(&model.unwrap(), estimator).unwrap()
+}
+
 /// Re-exports of the most commonly used serving types.
 pub mod prelude {
     pub use crate::error::ServeError;
     pub use crate::eventloop::WireServer;
+    pub use crate::metrics::MetricsSnapshot;
     pub use crate::online::{OnlineConfig, OnlineLearner};
-    pub use crate::runtime::{Client, MetricsSnapshot, ServeConfig, ServeResponse, ServeRuntime};
+    pub use crate::runtime::{Client, ServeConfig, ServeResponse, ServeRuntime};
     pub use crate::shadow::ShadowReport;
     pub use crate::wire::{WireClient, WireConfig};
     pub use quclassi_sim::batch::BatchExecutor;

@@ -1,5 +1,6 @@
 //! Serving metrics: the central registry, lock-free latency histograms,
-//! per-model counters, and the runtime-wide snapshot.
+//! per-model counters, the runtime-wide snapshot, and the tables that
+//! declare every series once.
 //!
 //! Everything on the hot path is a relaxed atomic — recording a latency or
 //! bumping a counter never takes a lock, so metrics cannot perturb the
@@ -28,10 +29,27 @@
 //! `quclassi_<area>_<metric>[_total|_ns]` — `_total` for monotone
 //! counters, `_ns` for nanosecond histograms, labels in `{key="value"}`
 //! form for per-shard / per-model series.
+//!
+//! ## One declaration per metric
+//!
+//! Every runtime-wide series is one row of the `runtime_metrics!` table
+//! below: `field: kind "exposition_name" => "json.key"` under its doc
+//! comment. The row yields the hot-path handle in [`RuntimeStats`], its
+//! registration (and so its exposition series), the typed
+//! [`MetricsSnapshot`] field, and its row of [`RUNTIME_COLUMNS`], which
+//! renders the JSON `metrics` op. Per-model and encoding-cache series are
+//! read from each model's snapshot at scrape time through
+//! [`MODEL_COLUMNS`] and [`CACHE_COLUMNS`], which render both the JSON
+//! `models[]` objects and the `{model="…"}` text series; they stay per
+//! registry entry, so a hot-swap starts the new version from zero and
+//! the registry does not grow with promotions.
 
+use crate::json::Json;
 use crate::mutation;
 use crate::quclassi_sync::atomic::{AtomicU64, Ordering};
 use crate::quclassi_sync::{Arc, Mutex};
+use quclassi_infer::CacheStats;
+use std::time::Duration;
 
 /// Number of histogram buckets: one per possible `floor(log2)` of a `u64`
 /// nanosecond count.
@@ -370,6 +388,20 @@ impl MetricKind {
     }
 }
 
+/// The registry's typed register-or-get methods, one per handle kind:
+/// `method -> Handle: MetricKind variant`.
+macro_rules! register_methods {
+    ($($(#[doc = $doc:literal])+ $method:ident -> $handle:ty: $variant:ident;)+) => {
+        $($(#[doc = $doc])+
+        pub fn $method(&self, name: &str) -> $handle {
+            self.register_or_get(name, MetricKind::$variant, |kind| match kind {
+                MetricKind::$variant(handle) => Some(handle.clone()),
+                _ => None,
+            })
+        })+
+    };
+}
+
 /// The central namespace of named serving metrics.
 ///
 /// Registration is register-or-get: asking for an existing name of the
@@ -388,11 +420,11 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn register_or_get<T: Clone>(
+    fn register_or_get<T: Clone + Default>(
         &self,
         name: &str,
-        make: impl FnOnce() -> (T, MetricKind),
-        get: impl Fn(&MetricKind) -> Option<T>,
+        wrap: fn(T) -> MetricKind,
+        get: fn(&MetricKind) -> Option<T>,
     ) -> T {
         let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
         if let Some(existing) = metrics.iter().find(|m| m.name == name) {
@@ -403,72 +435,23 @@ impl MetricsRegistry {
                 )
             });
         }
-        let (handle, kind) = make();
+        let handle = T::default();
         metrics.push(Metric {
             name: name.to_string(),
-            kind,
+            kind: wrap(handle.clone()),
         });
         handle
     }
 
-    /// Registers (or retrieves) a counter.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.register_or_get(
-            name,
-            || {
-                let c = Counter::default();
-                (c.clone(), MetricKind::Counter(c))
-            },
-            |k| match k {
-                MetricKind::Counter(c) => Some(c.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Registers (or retrieves) a gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.register_or_get(
-            name,
-            || {
-                let g = Gauge::default();
-                (g.clone(), MetricKind::Gauge(g))
-            },
-            |k| match k {
-                MetricKind::Gauge(g) => Some(g.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Registers (or retrieves) a float gauge.
-    pub fn float_gauge(&self, name: &str) -> FloatGauge {
-        self.register_or_get(
-            name,
-            || {
-                let g = FloatGauge::default();
-                (g.clone(), MetricKind::FloatGauge(g))
-            },
-            |k| match k {
-                MetricKind::FloatGauge(g) => Some(g.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Registers (or retrieves) a latency histogram.
-    pub fn histogram(&self, name: &str) -> Arc<LatencyHistogram> {
-        self.register_or_get(
-            name,
-            || {
-                let h = Arc::new(LatencyHistogram::new());
-                (Arc::clone(&h), MetricKind::Histogram(h))
-            },
-            |k| match k {
-                MetricKind::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-        )
+    register_methods! {
+        /// Registers (or retrieves) a counter.
+        counter -> Counter: Counter;
+        /// Registers (or retrieves) a gauge.
+        gauge -> Gauge: Gauge;
+        /// Registers (or retrieves) a float gauge.
+        float_gauge -> FloatGauge: FloatGauge;
+        /// Registers (or retrieves) a latency histogram.
+        histogram -> Arc<LatencyHistogram>: Histogram;
     }
 
     /// Registered metric names, in registration order.
@@ -501,20 +484,17 @@ impl MetricsRegistry {
                 out.push_str(m.kind.type_name());
                 out.push('\n');
             }
-            match &m.kind {
-                MetricKind::Counter(c) => {
-                    append_sample(&mut out, &m.name, &c.get().to_string());
-                }
-                MetricKind::Gauge(g) => {
-                    append_sample(&mut out, &m.name, &g.get().to_string());
-                }
-                MetricKind::FloatGauge(g) => {
-                    append_sample(&mut out, &m.name, &format_f64(g.get()));
-                }
+            let histogram;
+            let sample = match &m.kind {
+                MetricKind::Counter(c) => Sample::Int(c.get()),
+                MetricKind::Gauge(g) => Sample::Int(g.get()),
+                MetricKind::FloatGauge(g) => Sample::Float(g.get()),
                 MetricKind::Histogram(h) => {
-                    expose_histogram(&mut out, &m.name, &h.snapshot());
+                    histogram = h.snapshot();
+                    Sample::Histogram(&histogram)
                 }
-            }
+            };
+            sample.expose(&mut out, &m.name);
         }
         out
     }
@@ -549,59 +529,41 @@ pub(crate) fn format_f64(v: f64) -> String {
 /// registry (registered histograms) and the runtime's dynamic per-model
 /// series.
 pub(crate) fn expose_histogram(out: &mut String, name: &str, snap: &HistogramSnapshot) {
-    let (base, labels) = match name.find('{') {
-        Some(i) => (&name[..i], &name[i..name.len() - 1]),
-        None => (name, ""),
+    // `base{labels}`: the bucket series add `le` to the labels, the
+    // summary series put a suffix on the base name.
+    let (base, labels) = name.split_once('{').map_or((name, ""), |(base, rest)| {
+        (base, rest.strip_suffix('}').unwrap_or(rest))
+    });
+    let bucket = |le: &str| match labels {
+        "" => format!("{base}_bucket{{le=\"{le}\"}}"),
+        _ => format!("{base}_bucket{{{labels}, le=\"{le}\"}}"),
     };
-    let label_sep = if labels.is_empty() { "{" } else { ", " };
     let mut cumulative = 0u64;
-    for (bucket, &c) in snap.bucket_counts().iter().enumerate() {
+    for (bucket_index, &c) in snap.bucket_counts().iter().enumerate() {
         if c == 0 {
             continue;
         }
         cumulative += c;
         // Bucket b spans [2^b, 2^(b+1)): its inclusive upper bound.
-        let le = if bucket == 63 {
-            u64::MAX
-        } else {
-            (1u64 << (bucket + 1)) - 1
+        let le = match bucket_index {
+            63 => u64::MAX,
+            b => (1u64 << (b + 1)) - 1,
         };
-        out.push_str(base);
-        out.push_str("_bucket");
-        if labels.is_empty() {
-            out.push_str(&format!("{{le=\"{le}\"}}"));
-        } else {
-            out.push_str(labels);
-            out.push_str(&format!("{label_sep}le=\"{le}\"}}"));
-        }
-        out.push(' ');
-        out.push_str(&cumulative.to_string());
-        out.push('\n');
+        append_sample(out, &bucket(&le.to_string()), &cumulative.to_string());
     }
-    let suffix_name = |suffix: &str| {
-        if labels.is_empty() {
-            format!("{base}{suffix}")
-        } else {
-            format!("{base}{suffix}{labels}}}")
-        }
+    append_sample(out, &bucket("+Inf"), &cumulative.to_string());
+    let labels = match labels {
+        "" => String::new(),
+        _ => format!("{{{labels}}}"),
     };
-    if labels.is_empty() {
-        append_sample(
-            out,
-            &format!("{base}_bucket{{le=\"+Inf\"}}"),
-            &cumulative.to_string(),
-        );
-    } else {
-        append_sample(
-            out,
-            &format!("{base}_bucket{labels}{label_sep}le=\"+Inf\"}}"),
-            &cumulative.to_string(),
-        );
+    for (suffix, value) in [
+        ("_sum", snap.sum_ns()),
+        ("_count", snap.count()),
+        ("_min", snap.min_ns()),
+        ("_max", snap.max_ns()),
+    ] {
+        append_sample(out, &format!("{base}{suffix}{labels}"), &value.to_string());
     }
-    append_sample(out, &suffix_name("_sum"), &snap.sum_ns().to_string());
-    append_sample(out, &suffix_name("_count"), &snap.count().to_string());
-    append_sample(out, &suffix_name("_min"), &snap.min_ns().to_string());
-    append_sample(out, &suffix_name("_max"), &snap.max_ns().to_string());
 }
 
 /// Escapes a label value for exposition (`\` → `\\`, `"` → `\"`,
@@ -652,7 +614,7 @@ pub struct ModelStatsSnapshot {
     pub completed: u64,
     /// Requests that failed during batch evaluation.
     pub failed: u64,
-    /// Requests rejected at admission (queue saturated).
+    /// Requests rejected at admission (invalid input or queue saturated).
     pub rejected: u64,
     /// End-to-end (admission → reply) latency histogram.
     pub latency: HistogramSnapshot,
@@ -669,142 +631,382 @@ pub enum FlushReason {
     Close,
 }
 
-/// Per-request pipeline stage latency histograms: where a request's
-/// end-to-end time actually went.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageLatencies {
-    /// Admission-side encoding (feature → rotation angles) time.
-    pub encode: HistogramSnapshot,
-    /// Time spent queued between admission and scheduler pickup.
-    pub queue_wait: HistogramSnapshot,
-    /// Scheduler batch-assembly time (drain → group → dispatch).
-    pub assemble: HistogramSnapshot,
-    /// Batch compute time (the `predict_many_from_angles` call).
-    pub compute: HistogramSnapshot,
-    /// Wire write time (response serialised → bytes drained to the
-    /// socket). Zero for in-process requests, which have no write stage.
-    pub write: HistogramSnapshot,
+/// One series' value read from a snapshot.
+#[derive(Clone, Copy, Debug)]
+enum Sample<'a> {
+    Int(u64),
+    Float(f64),
+    Histogram(&'a HistogramSnapshot),
 }
 
-/// Runtime-wide counters, gauges, and histograms — every field is a handle
-/// into one shared [`MetricsRegistry`], so the same values are readable as
-/// typed fields (hot paths, [`crate::runtime::MetricsSnapshot`]) and as
-/// named series in the text exposition.
-#[derive(Debug)]
-pub struct RuntimeStats {
-    pub(crate) admitted: Counter,
-    pub(crate) rejected: Counter,
-    pub(crate) completed: Counter,
-    pub(crate) failed: Counter,
-    pub(crate) batches: Counter,
-    pub(crate) batched_requests: Counter,
-    pub(crate) flush_on_size: Counter,
-    pub(crate) flush_on_deadline: Counter,
-    pub(crate) flush_on_close: Counter,
+impl Sample<'_> {
+    fn to_json(self) -> Json {
+        match self {
+            Sample::Int(v) => Json::Num(v as f64),
+            Sample::Float(v) => Json::Num(v),
+            Sample::Histogram(h) => Json::obj(vec![
+                ("count", Json::Num(h.count() as f64)),
+                ("mean_us", Json::Num(h.mean_ns() / 1_000.0)),
+                ("p50_us", Json::Num(h.p50_us())),
+                ("p99_us", Json::Num(h.p99_us())),
+            ]),
+        }
+    }
+
+    fn expose(self, out: &mut String, name: &str) {
+        match self {
+            Sample::Int(v) => append_sample(out, name, &v.to_string()),
+            Sample::Float(v) => append_sample(out, name, &format_f64(v)),
+            Sample::Histogram(h) => expose_histogram(out, name, h),
+        }
+    }
+}
+
+/// One row of a metrics table: a series' exposition name, its JSON key,
+/// its kind, and how to read it from a snapshot of type `T`.
+pub struct Column<T> {
+    /// Exposition family name.
+    pub name: &'static str,
+    /// Key in the JSON `metrics` op; a dotted key (`stages.encode`) nests
+    /// inside an object. Histograms render as
+    /// `{count, mean_us, p50_us, p99_us}`.
+    pub json: &'static str,
+    /// The exposition `# TYPE`: `counter`, `gauge` or `histogram`.
+    pub kind: &'static str,
+    read: fn(&T) -> Sample<'_>,
+}
+
+/// One table row: `column!(kind "exposition_name" => "json.key", |snapshot| value)`.
+macro_rules! column {
+    ($kind:ident $name:literal => $json:literal, |$v:ident| $read:expr) => {
+        Column {
+            name: $name,
+            json: $json,
+            kind: series!(kind $kind),
+            read: |$v| series!(sample $kind, $read),
+        }
+    };
+}
+
+/// What each series kind maps to: its registry handle, its snapshot value,
+/// how a handle is read, how a value is sampled, and its `# TYPE`.
+macro_rules! series {
+    (handle counter) => { Counter };
+    (handle gauge) => { Gauge };
+    (handle float_gauge) => { FloatGauge };
+    (handle histogram) => { Arc<LatencyHistogram> };
+    (value float_gauge) => { f64 };
+    (value histogram) => { HistogramSnapshot };
+    (value $other:ident) => { u64 };
+    (read histogram, $h:expr) => { $h.snapshot() };
+    (read $other:ident, $h:expr) => { $h.get() };
+    (sample float_gauge, $v:expr) => { Sample::Float($v) };
+    (sample histogram, $v:expr) => { Sample::Histogram(&$v) };
+    (sample $other:ident, $v:expr) => { Sample::Int($v) };
+    (kind float_gauge) => { "gauge" };
+    (kind $kind:ident) => { stringify!($kind) };
+}
+
+/// Declares every runtime-wide series once. Each row
+/// `field: kind "exposition_name" => "json.key"` yields the hot-path handle
+/// `RuntimeStats::field` registered under `exposition_name` (so the text
+/// exposition renders it), the typed `MetricsSnapshot::field`, and its row
+/// of [`RUNTIME_COLUMNS`], which renders the JSON `metrics` op.
+macro_rules! runtime_metrics {
+    ($($(#[doc = $doc:literal])+ $field:ident: $kind:ident $name:literal => $json:literal,)+) => {
+        /// Runtime-wide counters, gauges, and histograms: every field is a
+        /// handle into one shared [`MetricsRegistry`], so the same values
+        /// are readable as typed fields (hot paths, [`MetricsSnapshot`])
+        /// and as named series in the text exposition.
+        #[derive(Debug)]
+        pub struct RuntimeStats {
+            $($(#[doc = $doc])+ pub(crate) $field: series!(handle $kind),)+
+        }
+
+        impl RuntimeStats {
+            /// Registers every runtime-wide metric into `registry` and
+            /// returns the handle bundle. Calling twice against one
+            /// registry returns handles to the *same* series
+            /// (register-or-get).
+            pub(crate) fn register(registry: &MetricsRegistry) -> Self {
+                RuntimeStats {
+                    $($field: registry.$kind($name),)+
+                }
+            }
+
+            /// Reads every series, next to the figures the runtime keeps
+            /// outside the registry.
+            pub(crate) fn snapshot(
+                &self,
+                uptime: Duration,
+                queue_capacity: usize,
+                peak_queue_depth: usize,
+                draining_models: usize,
+                models: Vec<ModelMetrics>,
+            ) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    uptime,
+                    queue_capacity,
+                    peak_queue_depth,
+                    draining_models,
+                    $($field: series!(read $kind, self.$field),)+
+                    models,
+                }
+            }
+        }
+
+        /// Point-in-time metrics of the whole runtime (see
+        /// [`crate::Client::metrics`]).
+        #[derive(Clone, Debug)]
+        pub struct MetricsSnapshot {
+            /// Time since the runtime started.
+            pub uptime: Duration,
+            /// Configured queue capacity.
+            pub queue_capacity: usize,
+            /// High-water mark of the queue depth.
+            pub peak_queue_depth: usize,
+            /// Retired (hot-swapped-out) versions still serving in-flight
+            /// requests.
+            pub draining_models: usize,
+            $($(#[doc = $doc])+ pub $field: series!(value $kind),)+
+            /// Per-model metrics, sorted by name.
+            pub models: Vec<ModelMetrics>,
+        }
+
+        /// Every runtime-wide series, in registration (and so exposition)
+        /// order.
+        pub const RUNTIME_COLUMNS: &[Column<MetricsSnapshot>] = &[
+            $(column!($kind $name => $json, |s| s.$field),)+
+        ];
+    };
+}
+
+runtime_metrics! {
+    /// Requests admitted to the queue.
+    admitted: counter "quclassi_serve_admitted_total" => "admitted",
+    /// Requests rejected at admission (unknown model, invalid input,
+    /// saturation, or shutdown): `admitted + rejected` reconstructs the
+    /// offered load.
+    rejected: counter "quclassi_serve_rejected_total" => "rejected",
+    /// Requests answered successfully.
+    completed: counter "quclassi_serve_completed_total" => "completed",
+    /// Requests that failed during evaluation.
+    failed: counter "quclassi_serve_failed_total" => "failed",
+    /// Micro-batches flushed.
+    batches: counter "quclassi_serve_batches_total" => "batches",
+    /// Total requests across all flushed batches.
+    batched_requests: counter "quclassi_serve_batched_requests_total" => "batched_requests",
+    /// Batches flushed because the size target was reached.
+    flush_on_size: counter "quclassi_serve_flush_size_total" => "flush_on_size",
+    /// Batches flushed because the batching window expired.
+    flush_on_deadline: counter "quclassi_serve_flush_deadline_total" => "flush_on_deadline",
+    /// Batches flushed while draining at shutdown.
+    flush_on_close: counter "quclassi_serve_flush_close_total" => "flush_on_close",
     /// Connections refused at the wire boundary (over the connection cap)
-    /// with a `saturated` error frame.
-    pub(crate) wire_refusals: Counter,
+    /// with a retryable `saturated` error frame.
+    wire_refusals: counter "quclassi_wire_refusals_total" => "wire_refusals",
     /// Refusals whose error frame could not be written to the peer. A
     /// refused client that also failed the write never *saw* the
-    /// backpressure signal — operationally distinct from a served refusal,
-    /// so it is counted separately instead of silently discarded.
-    pub(crate) refusal_write_failures: Counter,
+    /// backpressure signal, so it is counted apart from a served refusal.
+    refusal_write_failures: counter "quclassi_wire_refusal_write_failures_total" => "refusal_write_failures",
     /// Successful deploys through the runtime (initial deploys and
-    /// online-learner candidate promotions alike): the promotion history
-    /// the registry itself does not keep.
-    pub(crate) promotions: Counter,
+    /// online-learner candidate promotions alike).
+    promotions: counter "quclassi_online_promotions_total" => "promotions",
     /// Rollbacks to a name's previous artifact (each redeployed as a new
     /// monotonic version, so a rollback never reuses a version number).
-    pub(crate) rollbacks: Counter,
+    rollbacks: counter "quclassi_online_rollbacks_total" => "rollbacks",
     /// Online-learner candidates that failed validation, compilation, the
-    /// promotion gate, or the deploy warm-up — none of which ever reached
-    /// the registry.
-    pub(crate) candidates_rejected: Counter,
+    /// promotion gate, or the deploy warm-up; none reached the registry.
+    candidates_rejected: counter "quclassi_online_candidates_rejected_total" => "candidates_rejected",
     /// Training cycles the online learner has started.
-    pub(crate) train_cycles: Counter,
+    train_cycles: counter "quclassi_online_train_cycles_total" => "train_cycles",
     /// Trainer panics caught and survived by the online learner.
-    pub(crate) learner_panics: Counter,
+    learner_panics: counter "quclassi_online_learner_panics_total" => "learner_panics",
     /// Scheduler flushes mirrored to a shadow candidate.
-    pub(crate) shadow_batches: Counter,
+    shadow_batches: counter "quclassi_online_shadow_batches_total" => "shadow_batches",
     /// Requests duplicated onto a shadow candidate (user responses always
     /// come from the live model only).
-    pub(crate) shadow_requests: Counter,
+    shadow_requests: counter "quclassi_online_shadow_requests_total" => "shadow_requests",
     /// Requests currently queued (mirrors the bounded queue's occupancy).
-    pub(crate) queue_depth: Gauge,
-    /// Requests admitted but not yet answered (queued + being evaluated).
-    pub(crate) in_flight: Gauge,
+    queue_depth: gauge "quclassi_serve_queue_depth" => "queue_depth",
+    /// Requests admitted but not yet answered (queued or mid-evaluation).
+    in_flight: gauge "quclassi_serve_in_flight" => "in_flight",
     /// Open wire connections across all frontends and shards.
-    pub(crate) wire_connections: Gauge,
+    wire_connections: gauge "quclassi_wire_connections" => "wire_connections",
     /// Live-model holdout accuracy from the latest online-learner cycle.
-    pub(crate) online_live_accuracy: FloatGauge,
+    online_live_accuracy: float_gauge "quclassi_online_live_accuracy" => "online_live_accuracy",
     /// Candidate holdout accuracy from the latest cycle that trained one.
-    pub(crate) online_candidate_accuracy: FloatGauge,
+    online_candidate_accuracy: float_gauge "quclassi_online_candidate_accuracy" => "online_candidate_accuracy",
     /// Index of the most recently completed online-learner cycle.
-    pub(crate) online_last_cycle: Gauge,
-    /// End-to-end (admission → reply) latency.
-    pub(crate) latency: Arc<LatencyHistogram>,
-    /// Admission-side encoding stage.
-    pub(crate) stage_encode: Arc<LatencyHistogram>,
+    online_last_cycle: gauge "quclassi_online_last_cycle" => "online_last_cycle",
+    /// End-to-end (admission → reply) latency across all models.
+    latency: histogram "quclassi_serve_latency_ns" => "latency",
+    /// Admission-side encoding (feature → rotation angles) stage.
+    stage_encode: histogram "quclassi_serve_stage_encode_ns" => "stages.encode",
     /// Queue-wait stage (admission → scheduler pickup).
-    pub(crate) stage_queue_wait: Arc<LatencyHistogram>,
-    /// Scheduler batch-assembly stage.
-    pub(crate) stage_assemble: Arc<LatencyHistogram>,
-    /// Batch compute stage.
-    pub(crate) stage_compute: Arc<LatencyHistogram>,
-    /// Wire write stage (fulfil → bytes drained).
-    pub(crate) stage_write: Arc<LatencyHistogram>,
+    stage_queue_wait: histogram "quclassi_serve_stage_queue_wait_ns" => "stages.queue_wait",
+    /// Scheduler batch-assembly stage (drain → group → dispatch).
+    stage_assemble: histogram "quclassi_serve_stage_assemble_ns" => "stages.assemble",
+    /// Batch compute stage (the `predict_many_from_angles` call).
+    stage_compute: histogram "quclassi_serve_stage_compute_ns" => "stages.compute",
+    /// Wire write stage (response enqueued → bytes drained to the socket);
+    /// empty for in-process requests, which have no write stage.
+    stage_write: histogram "quclassi_serve_stage_write_ns" => "stages.write",
+}
+
+/// The `{model="…"}` series and `models[]` keys of each deployed model.
+pub const MODEL_COLUMNS: &[Column<ModelMetrics>] = &[
+    column!(gauge "quclassi_model_version" => "version", |m| m.version),
+    column!(counter "quclassi_model_admitted_total" => "admitted", |m| m.stats.admitted),
+    column!(counter "quclassi_model_completed_total" => "completed", |m| m.stats.completed),
+    column!(counter "quclassi_model_failed_total" => "failed", |m| m.stats.failed),
+    column!(counter "quclassi_model_rejected_total" => "rejected", |m| m.stats.rejected),
+    column!(histogram "quclassi_model_latency_ns" => "latency", |m| m.stats.latency),
+];
+
+/// The encoding-cache series of each deployed model's active artifact,
+/// labelled and keyed like [`MODEL_COLUMNS`].
+pub const CACHE_COLUMNS: &[Column<CacheStats>] = &[
+    column!(counter "quclassi_cache_hits_total" => "cache_hits", |c| c.hits),
+    column!(counter "quclassi_cache_misses_total" => "cache_misses", |c| c.misses),
+    column!(counter "quclassi_cache_evictions_total" => "cache_evictions", |c| c.evictions),
+    column!(gauge "quclassi_cache_entries" => "cache_entries", |c| c.entries as u64),
+    column!(gauge "quclassi_cache_capacity" => "cache_capacity", |c| c.capacity as u64),
+];
+
+/// Appends each column of `item` to a JSON object's fields, nesting a
+/// dotted key inside the object its prefix names.
+fn put_columns<T>(fields: &mut Vec<(String, Json)>, columns: &[Column<T>], item: &T) {
+    for column in columns {
+        let value = (column.read)(item).to_json();
+        let Some((outer, inner)) = column.json.split_once('.') else {
+            fields.push((column.json.to_string(), value));
+            continue;
+        };
+        let at = match fields.iter().position(|(key, _)| key == outer) {
+            Some(at) => at,
+            None => {
+                fields.push((outer.to_string(), Json::Obj(Vec::new())));
+                fields.len() - 1
+            }
+        };
+        if let Json::Obj(nested) = &mut fields[at].1 {
+            nested.push((inner.to_string(), value));
+        }
+    }
+}
+
+/// Renders one `# TYPE` family per column, with one sample per labelled
+/// item.
+fn expose_columns<T>(out: &mut String, columns: &[Column<T>], items: &[(String, &T)]) {
+    for column in columns {
+        out.push_str(&format!("# TYPE {} {}\n", column.name, column.kind));
+        for (label, item) in items {
+            (column.read)(item).expose(out, &format!("{}{label}", column.name));
+        }
+    }
+}
+
+/// Point-in-time serving metrics for one deployed model.
+#[derive(Clone, Debug)]
+pub struct ModelMetrics {
+    /// Registry name.
+    pub name: String,
+    /// Currently active version.
+    pub version: u64,
+    /// Admission/completion/failure/rejection counters + latency of the
+    /// active version.
+    pub stats: ModelStatsSnapshot,
+    /// Encoding-fingerprint cache counters of the active artifact.
+    pub cache: CacheStats,
+}
+
+impl ModelMetrics {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![("name".to_string(), Json::str(self.name.clone()))];
+        put_columns(&mut fields, MODEL_COLUMNS, self);
+        put_columns(&mut fields, CACHE_COLUMNS, &self.cache);
+        for (key, value) in [
+            ("p50_us", self.stats.latency.p50_us()),
+            ("p99_us", self.stats.latency.p99_us()),
+            ("cache_hit_rate", self.cache.hit_rate()),
+        ] {
+            fields.push((key.to_string(), Json::Num(value)));
+        }
+        Json::Obj(fields)
+    }
+}
+
+/// Appends the `{model="…"}` sections (model and cache tables) of the
+/// text exposition; nothing when no model is deployed.
+pub(crate) fn expose_models(out: &mut String, models: &[ModelMetrics]) {
+    if models.is_empty() {
+        return;
+    }
+    let labels: Vec<String> = models
+        .iter()
+        .map(|m| format!("{{model=\"{}\"}}", escape_label(&m.name)))
+        .collect();
+    let by_model: Vec<(String, &ModelMetrics)> = labels.iter().cloned().zip(models).collect();
+    expose_columns(out, MODEL_COLUMNS, &by_model);
+    let by_cache: Vec<(String, &CacheStats)> = labels
+        .into_iter()
+        .zip(models.iter().map(|m| &m.cache))
+        .collect();
+    expose_columns(out, CACHE_COLUMNS, &by_cache);
+}
+
+impl MetricsSnapshot {
+    /// Completed requests per second of uptime.
+    pub fn throughput_rps(&self) -> f64 {
+        let secs = self.uptime.as_secs_f64();
+        if secs <= 0.0 {
+            0.0
+        } else {
+            self.completed as f64 / secs
+        }
+    }
+
+    /// Mean number of requests per flushed micro-batch (0.0 before the
+    /// first flush). The headline batching-efficiency number: 1.0 means
+    /// the scheduler is degenerating to per-request serving.
+    pub fn mean_batch_occupancy(&self) -> f64 {
+        if self.batches == 0 {
+            0.0
+        } else {
+            self.batched_requests as f64 / self.batches as f64
+        }
+    }
+
+    /// The JSON `metrics` op's object: every [`RUNTIME_COLUMNS`] series by
+    /// its key, the figures derived from them, and one `models[]` object
+    /// per model.
+    pub(crate) fn to_json(&self) -> Json {
+        let latency = &self.latency;
+        let mut fields: Vec<(String, Json)> = [
+            ("uptime_us", self.uptime.as_micros() as f64),
+            ("queue_capacity", self.queue_capacity as f64),
+            ("peak_queue_depth", self.peak_queue_depth as f64),
+            ("draining_models", self.draining_models as f64),
+            ("mean_batch_occupancy", self.mean_batch_occupancy()),
+            ("throughput_rps", self.throughput_rps()),
+            ("p50_us", latency.p50_us()),
+            ("p90_us", latency.p90_us()),
+            ("p99_us", latency.p99_us()),
+            ("min_us", latency.min_ns() as f64 / 1_000.0),
+            ("max_us", latency.max_ns() as f64 / 1_000.0),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), Json::Num(value)))
+        .collect();
+        put_columns(&mut fields, RUNTIME_COLUMNS, self);
+        let models = self.models.iter().map(ModelMetrics::to_json).collect();
+        fields.push(("models".to_string(), Json::Arr(models)));
+        Json::Obj(fields)
+    }
 }
 
 impl RuntimeStats {
-    /// Registers every runtime-wide metric into `registry` and returns the
-    /// handle bundle. Calling twice against one registry returns handles
-    /// to the *same* series (register-or-get).
-    pub(crate) fn register(registry: &MetricsRegistry) -> Self {
-        RuntimeStats {
-            admitted: registry.counter("quclassi_serve_admitted_total"),
-            rejected: registry.counter("quclassi_serve_rejected_total"),
-            completed: registry.counter("quclassi_serve_completed_total"),
-            failed: registry.counter("quclassi_serve_failed_total"),
-            batches: registry.counter("quclassi_serve_batches_total"),
-            batched_requests: registry.counter("quclassi_serve_batched_requests_total"),
-            flush_on_size: registry.counter("quclassi_serve_flush_size_total"),
-            flush_on_deadline: registry.counter("quclassi_serve_flush_deadline_total"),
-            flush_on_close: registry.counter("quclassi_serve_flush_close_total"),
-            wire_refusals: registry.counter("quclassi_wire_refusals_total"),
-            refusal_write_failures: registry.counter("quclassi_wire_refusal_write_failures_total"),
-            promotions: registry.counter("quclassi_online_promotions_total"),
-            rollbacks: registry.counter("quclassi_online_rollbacks_total"),
-            candidates_rejected: registry.counter("quclassi_online_candidates_rejected_total"),
-            train_cycles: registry.counter("quclassi_online_train_cycles_total"),
-            learner_panics: registry.counter("quclassi_online_learner_panics_total"),
-            shadow_batches: registry.counter("quclassi_online_shadow_batches_total"),
-            shadow_requests: registry.counter("quclassi_online_shadow_requests_total"),
-            queue_depth: registry.gauge("quclassi_serve_queue_depth"),
-            in_flight: registry.gauge("quclassi_serve_in_flight"),
-            wire_connections: registry.gauge("quclassi_wire_connections"),
-            online_live_accuracy: registry.float_gauge("quclassi_online_live_accuracy"),
-            online_candidate_accuracy: registry.float_gauge("quclassi_online_candidate_accuracy"),
-            online_last_cycle: registry.gauge("quclassi_online_last_cycle"),
-            latency: registry.histogram("quclassi_serve_latency_ns"),
-            stage_encode: registry.histogram("quclassi_serve_stage_encode_ns"),
-            stage_queue_wait: registry.histogram("quclassi_serve_stage_queue_wait_ns"),
-            stage_assemble: registry.histogram("quclassi_serve_stage_assemble_ns"),
-            stage_compute: registry.histogram("quclassi_serve_stage_compute_ns"),
-            stage_write: registry.histogram("quclassi_serve_stage_write_ns"),
-        }
-    }
-
-    /// A snapshot of the five per-stage histograms.
-    pub(crate) fn stage_snapshot(&self) -> StageLatencies {
-        StageLatencies {
-            encode: self.stage_encode.snapshot(),
-            queue_wait: self.stage_queue_wait.snapshot(),
-            assemble: self.stage_assemble.snapshot(),
-            compute: self.stage_compute.snapshot(),
-            write: self.stage_write.snapshot(),
-        }
-    }
-
     pub(crate) fn record_flush(&self, occupancy: usize, reason: FlushReason) {
         self.batches.inc();
         self.batched_requests.add(occupancy as u64);
@@ -1118,40 +1320,11 @@ mod tests {
         stats.promotions.inc();
         stats.refusal_write_failures.add(2);
         let text = reg.expose();
-        for name in [
-            "quclassi_serve_admitted_total",
-            "quclassi_serve_rejected_total",
-            "quclassi_serve_completed_total",
-            "quclassi_serve_failed_total",
-            "quclassi_serve_batches_total",
-            "quclassi_serve_batched_requests_total",
-            "quclassi_serve_flush_size_total",
-            "quclassi_serve_flush_deadline_total",
-            "quclassi_serve_flush_close_total",
-            "quclassi_wire_refusals_total",
-            "quclassi_wire_refusal_write_failures_total",
-            "quclassi_online_promotions_total",
-            "quclassi_online_rollbacks_total",
-            "quclassi_online_candidates_rejected_total",
-            "quclassi_online_train_cycles_total",
-            "quclassi_online_learner_panics_total",
-            "quclassi_online_shadow_batches_total",
-            "quclassi_online_shadow_requests_total",
-            "quclassi_serve_queue_depth",
-            "quclassi_serve_in_flight",
-            "quclassi_wire_connections",
-            "quclassi_online_live_accuracy",
-            "quclassi_online_candidate_accuracy",
-            "quclassi_online_last_cycle",
-            "quclassi_serve_latency_ns",
-            "quclassi_serve_stage_encode_ns",
-            "quclassi_serve_stage_queue_wait_ns",
-            "quclassi_serve_stage_assemble_ns",
-            "quclassi_serve_stage_compute_ns",
-            "quclassi_serve_stage_write_ns",
-        ] {
-            assert!(text.contains(name), "exposition missing {name}");
+        for column in RUNTIME_COLUMNS {
+            let type_line = format!("# TYPE {} {}\n", column.name, column.kind);
+            assert!(text.contains(&type_line), "exposition missing {type_line}");
         }
+        assert_eq!(reg.names().len(), RUNTIME_COLUMNS.len());
         assert!(text.contains("quclassi_online_promotions_total 1\n"));
         assert!(text.contains("quclassi_wire_refusal_write_failures_total 2\n"));
     }

@@ -180,18 +180,18 @@ impl SlotProbe {
     /// Fulfils the slot with a `ShutDown` error (the cheapest result to
     /// construct; the rendezvous does not care which result it carries).
     pub fn fulfill(&self) {
-        self.slot.model_fulfill(Err(ServeError::ShutDown));
+        self.slot.fulfill(Err(ServeError::ShutDown));
     }
 
     /// Blocks until fulfilled; `true` iff the carried result was the
     /// `ShutDown` error the probe publishes.
     pub fn wait(&self) -> bool {
-        matches!(self.slot.model_wait(), Err(ServeError::ShutDown))
+        matches!(self.slot.wait(), Err(ServeError::ShutDown))
     }
 
     /// Non-blocking readiness check.
     pub fn is_ready(&self) -> bool {
-        self.slot.model_is_ready()
+        self.slot.is_ready()
     }
 }
 

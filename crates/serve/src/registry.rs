@@ -207,14 +207,9 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quclassi::model::{QuClassiConfig, QuClassiModel};
-    use quclassi::swap_test::FidelityEstimator;
 
     fn compiled(seed: u64) -> CompiledModel {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let model =
-            QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, 2), &mut rng).unwrap();
-        CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap()
+        crate::test_artifact(seed, 2)
     }
 
     #[test]

@@ -53,9 +53,7 @@
 //! dynamically batched server — depend on how requests happened to batch.
 
 use crate::error::ServeError;
-use crate::metrics::{
-    self, HistogramSnapshot, MetricsRegistry, ModelStatsSnapshot, RuntimeStats, StageLatencies,
-};
+use crate::metrics::{self, MetricsRegistry, MetricsSnapshot, ModelMetrics, RuntimeStats};
 use crate::mutation;
 use crate::quclassi_sync::atomic::{AtomicU64, Ordering};
 use crate::quclassi_sync::{Arc, Condvar, Mutex, RwLock};
@@ -63,7 +61,7 @@ use crate::queue::BoundedQueue;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::shadow::{ShadowReport, ShadowState};
 use crate::trace::{TraceRing, TraceSpan, TraceState, DEFAULT_TRACE_CAPACITY};
-use quclassi_infer::{CacheStats, CompiledModel, Prediction};
+use quclassi_infer::{CompiledModel, Prediction};
 use quclassi_sim::batch::BatchExecutor;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -160,11 +158,11 @@ impl ServeConfig {
     }
 }
 
-fn env_nonempty(key: &str) -> Option<String> {
+pub(crate) fn env_nonempty(key: &str) -> Option<String> {
     std::env::var(key).ok().filter(|v| !v.trim().is_empty())
 }
 
-fn parse_positive(key: &str, raw: &str) -> Result<usize, ServeError> {
+pub(crate) fn parse_positive(key: &str, raw: &str) -> Result<usize, ServeError> {
     match raw.trim().parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
         _ => Err(ServeError::InvalidConfig(format!(
@@ -224,7 +222,8 @@ impl ResponseSlot {
         }
     }
 
-    fn fulfill(&self, result: Result<ServeResponse, ServeError>) {
+    /// Publishes the result, then wakes the waiter and calls the notifier.
+    pub(crate) fn fulfill(&self, result: Result<ServeResponse, ServeError>) {
         let notify_early = mutation::slot_notify_early();
         if notify_early {
             // Mutation point: notifying before the result is published is
@@ -244,23 +243,9 @@ impl ResponseSlot {
             notifier();
         }
     }
-}
 
-#[cfg(quclassi_model)]
-impl ResponseSlot {
-    /// Model-suite constructor: a bare slot with no notifier and a dummy
-    /// trace (the model tests exercise the rendezvous, not the timeline).
-    pub(crate) fn model_new() -> Self {
-        ResponseSlot::new(None, TraceState::new(0, Instant::now(), false))
-    }
-
-    /// Model-suite access to the scheduler-side publish.
-    pub(crate) fn model_fulfill(&self, result: Result<ServeResponse, ServeError>) {
-        self.fulfill(result);
-    }
-
-    /// [`PendingPrediction::wait`]'s loop, callable on a bare slot.
-    pub(crate) fn model_wait(&self) -> Result<ServeResponse, ServeError> {
+    /// Blocks until the result is published, then takes it.
+    pub(crate) fn wait(&self) -> Result<ServeResponse, ServeError> {
         let mut cell = self.cell.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = cell.take() {
@@ -270,12 +255,21 @@ impl ResponseSlot {
         }
     }
 
-    /// [`PendingPrediction::is_ready`], callable on a bare slot.
-    pub(crate) fn model_is_ready(&self) -> bool {
+    /// Whether the result has been published (non-blocking).
+    pub(crate) fn is_ready(&self) -> bool {
         self.cell
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .is_some()
+    }
+}
+
+#[cfg(quclassi_model)]
+impl ResponseSlot {
+    /// Model-suite constructor: a bare slot with no notifier and a dummy
+    /// trace (the model tests exercise the rendezvous, not the timeline).
+    pub(crate) fn model_new() -> Self {
+        ResponseSlot::new(None, TraceState::new(0, Instant::now(), false))
     }
 }
 
@@ -288,26 +282,12 @@ pub struct PendingPrediction {
 impl PendingPrediction {
     /// Blocks until the scheduler answers this request.
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
-        let mut cell = self.slot.cell.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = cell.take() {
-                return result;
-            }
-            cell = self
-                .slot
-                .ready
-                .wait(cell)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        self.slot.wait()
     }
 
     /// Whether the response has arrived (non-blocking).
     pub fn is_ready(&self) -> bool {
-        self.slot
-            .cell
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
+        self.slot.is_ready()
     }
 
     /// Takes the response if it has arrived (non-blocking); `None` while
@@ -367,109 +347,6 @@ impl std::fmt::Debug for Shared {
             .field("queue_depth", &self.queue.depth())
             .field("models", &self.registry.names())
             .finish_non_exhaustive()
-    }
-}
-
-/// Point-in-time serving metrics for one deployed model.
-#[derive(Clone, Debug)]
-pub struct ModelMetrics {
-    /// Registry name.
-    pub name: String,
-    /// Currently active version.
-    pub version: u64,
-    /// Admission/completion/failure/rejection counters + latency.
-    pub stats: ModelStatsSnapshot,
-    /// Encoding-fingerprint cache counters of the active artifact.
-    pub cache: CacheStats,
-}
-
-/// Point-in-time metrics of the whole runtime (see [`Client::metrics`]).
-#[derive(Clone, Debug)]
-pub struct MetricsSnapshot {
-    /// Time since the runtime started.
-    pub uptime: Duration,
-    /// Requests currently queued.
-    pub queue_depth: usize,
-    /// Configured queue capacity.
-    pub queue_capacity: usize,
-    /// High-water mark of the queue depth.
-    pub peak_queue_depth: usize,
-    /// Requests admitted to the queue.
-    pub admitted: u64,
-    /// Requests rejected at admission (unknown model, invalid input,
-    /// saturation, or shutdown): `admitted + rejected` reconstructs the
-    /// offered load.
-    pub rejected: u64,
-    /// Requests answered successfully.
-    pub completed: u64,
-    /// Requests that failed during evaluation.
-    pub failed: u64,
-    /// Micro-batches flushed.
-    pub batches: u64,
-    /// Total requests across all flushed batches.
-    pub batched_requests: u64,
-    /// Batches flushed because the size target was reached.
-    pub flush_on_size: u64,
-    /// Batches flushed because the batching window expired.
-    pub flush_on_deadline: u64,
-    /// Batches flushed while draining at shutdown.
-    pub flush_on_close: u64,
-    /// Connections refused at the wire boundary (over the connection cap)
-    /// with a retryable `saturated` error frame.
-    pub wire_refusals: u64,
-    /// Wire refusals whose `saturated` error frame could not be delivered
-    /// to the peer — those clients never saw the backpressure signal.
-    pub refusal_write_failures: u64,
-    /// Successful deploys through the runtime (initial deploys and online
-    /// candidate promotions alike).
-    pub promotions: u64,
-    /// Rollbacks to a previous artifact (each one a new monotonic version).
-    pub rollbacks: u64,
-    /// Online-learner candidates rejected before reaching the registry
-    /// (validation, compile, gate, or warm-up failures).
-    pub candidates_rejected: u64,
-    /// Training cycles the online learner has started.
-    pub train_cycles: u64,
-    /// Trainer panics caught and survived by the online learner.
-    pub learner_panics: u64,
-    /// Scheduler flushes mirrored to a shadow candidate.
-    pub shadow_batches: u64,
-    /// Requests duplicated onto a shadow candidate (user responses always
-    /// come from the live model only).
-    pub shadow_requests: u64,
-    /// Retired (hot-swapped-out) versions still serving in-flight requests.
-    pub draining_models: usize,
-    /// Requests admitted but not yet answered (queued or mid-evaluation).
-    pub in_flight: u64,
-    /// End-to-end (admission → reply) latency across all models.
-    pub latency: HistogramSnapshot,
-    /// Per-stage latency breakdown (encode, queue wait, batch assembly,
-    /// compute, wire write) across all models.
-    pub stages: StageLatencies,
-    /// Per-model metrics, sorted by name.
-    pub models: Vec<ModelMetrics>,
-}
-
-impl MetricsSnapshot {
-    /// Completed requests per second of uptime.
-    pub fn throughput_rps(&self) -> f64 {
-        let secs = self.uptime.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / secs
-        }
-    }
-
-    /// Mean number of requests per flushed micro-batch (0.0 before the
-    /// first flush). The headline batching-efficiency number: 1.0 means
-    /// the scheduler is degenerating to per-request serving.
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
-        }
     }
 }
 
@@ -800,46 +677,14 @@ impl Client {
 }
 
 fn snapshot(shared: &Shared) -> MetricsSnapshot {
-    let stats = &shared.stats;
-    let models = shared.model_metrics();
-    MetricsSnapshot {
-        uptime: shared.started.elapsed(),
-        queue_depth: shared.queue.depth(),
-        queue_capacity: shared.queue.capacity(),
-        peak_queue_depth: shared.queue.peak_depth(),
-        admitted: stats.admitted.get(),
-        rejected: stats.rejected.get(),
-        completed: stats.completed.get(),
-        failed: stats.failed.get(),
-        batches: stats.batches.get(),
-        batched_requests: stats.batched_requests.get(),
-        flush_on_size: stats.flush_on_size.get(),
-        flush_on_deadline: stats.flush_on_deadline.get(),
-        flush_on_close: stats.flush_on_close.get(),
-        wire_refusals: stats.wire_refusals.get(),
-        refusal_write_failures: stats.refusal_write_failures.get(),
-        promotions: stats.promotions.get(),
-        rollbacks: stats.rollbacks.get(),
-        candidates_rejected: stats.candidates_rejected.get(),
-        train_cycles: stats.train_cycles.get(),
-        learner_panics: stats.learner_panics.get(),
-        shadow_batches: stats.shadow_batches.get(),
-        shadow_requests: stats.shadow_requests.get(),
-        draining_models: shared.registry.draining(),
-        in_flight: stats.in_flight.get(),
-        latency: stats.latency.snapshot(),
-        stages: stats.stage_snapshot(),
-        models,
-    }
+    shared.stats.snapshot(
+        shared.started.elapsed(),
+        shared.queue.capacity(),
+        shared.queue.peak_depth(),
+        shared.registry.draining(),
+        shared.model_metrics(),
+    )
 }
-
-/// One per-model counter family of the text exposition: the metric-name
-/// suffix and the snapshot field it reads.
-type ModelCounterColumn = (&'static str, fn(&ModelStatsSnapshot) -> u64);
-
-/// One per-model cache series of the text exposition: full metric name,
-/// `# TYPE` keyword, and the [`CacheStats`] field it reads.
-type CacheColumn = (&'static str, &'static str, fn(&CacheStats) -> u64);
 
 impl Shared {
     /// Deploys through the registry and counts the promotion.
@@ -916,97 +761,31 @@ impl Shared {
     /// and simulator-profiling sections built from live snapshots.
     pub(crate) fn exposition(&self) -> String {
         let mut out = self.metrics.expose();
-        let models = self.model_metrics();
-        if !models.is_empty() {
-            let labelled: Vec<(String, ModelMetrics)> = models
-                .into_iter()
-                .map(|m| {
-                    (
-                        format!("{{model=\"{}\"}}", metrics::escape_label(&m.name)),
-                        m,
-                    )
-                })
-                .collect();
-            out.push_str("# TYPE quclassi_model_version gauge\n");
-            for (label, m) in &labelled {
-                metrics::append_sample(
-                    &mut out,
-                    &format!("quclassi_model_version{label}"),
-                    &metrics::format_f64(m.version as f64),
-                );
-            }
-            let counters: [ModelCounterColumn; 4] = [
-                ("admitted", |s| s.admitted),
-                ("completed", |s| s.completed),
-                ("failed", |s| s.failed),
-                ("rejected", |s| s.rejected),
-            ];
-            for (name, get) in counters {
-                out.push_str(&format!("# TYPE quclassi_model_{name}_total counter\n"));
-                for (label, m) in &labelled {
-                    metrics::append_sample(
-                        &mut out,
-                        &format!("quclassi_model_{name}_total{label}"),
-                        &metrics::format_f64(get(&m.stats) as f64),
-                    );
-                }
-            }
-            out.push_str("# TYPE quclassi_model_latency_ns histogram\n");
-            for (label, m) in &labelled {
-                metrics::expose_histogram(
-                    &mut out,
-                    &format!("quclassi_model_latency_ns{label}"),
-                    &m.stats.latency,
-                );
-            }
-            let caches: [CacheColumn; 5] = [
-                ("quclassi_cache_hits_total", "counter", |c| c.hits),
-                ("quclassi_cache_misses_total", "counter", |c| c.misses),
-                ("quclassi_cache_evictions_total", "counter", |c| c.evictions),
-                ("quclassi_cache_entries", "gauge", |c| c.entries as u64),
-                ("quclassi_cache_capacity", "gauge", |c| c.capacity as u64),
-            ];
-            for (name, kind, get) in caches {
-                out.push_str(&format!("# TYPE {name} {kind}\n"));
-                for (label, m) in &labelled {
-                    metrics::append_sample(
-                        &mut out,
-                        &format!("{name}{label}"),
-                        &metrics::format_f64(get(&m.cache) as f64),
-                    );
-                }
-            }
-        }
-        let profile = quclassi_sim::profile::snapshot();
-        out.push_str("# TYPE quclassi_sim_profile_enabled gauge\n");
-        metrics::append_sample(
-            &mut out,
-            "quclassi_sim_profile_enabled",
-            if quclassi_sim::profile::enabled() {
-                "1"
-            } else {
-                "0"
-            },
-        );
-        let sim: [(&str, u64); 5] = [
-            ("quclassi_sim_fused_groups_total", profile.fused_groups),
-            ("quclassi_sim_dense_sweeps_total", profile.dense_sweeps),
+        metrics::expose_models(&mut out, &self.model_metrics());
+        let p = quclassi_sim::profile::snapshot();
+        let enabled = u64::from(quclassi_sim::profile::enabled());
+        for (kind, name, value) in [
+            ("gauge", "quclassi_sim_profile_enabled", enabled),
+            ("counter", "quclassi_sim_fused_groups_total", p.fused_groups),
+            ("counter", "quclassi_sim_dense_sweeps_total", p.dense_sweeps),
             (
+                "counter",
                 "quclassi_sim_diagonal_sweeps_total",
-                profile.diagonal_sweeps,
+                p.diagonal_sweeps,
             ),
             (
+                "counter",
                 "quclassi_sim_permutation_sweeps_total",
-                profile.permutation_sweeps,
+                p.permutation_sweeps,
             ),
             (
+                "counter",
                 "quclassi_sim_amplitudes_touched_total",
-                profile.amplitudes_touched,
+                p.amplitudes_touched,
             ),
-        ];
-        for (name, value) in sim {
-            out.push_str(&format!("# TYPE {name} counter\n"));
-            metrics::append_sample(&mut out, name, &metrics::format_f64(value as f64));
+        ] {
+            out.push_str(&format!("# TYPE {name} {kind}\n"));
+            metrics::append_sample(&mut out, name, &value.to_string());
         }
         out
     }
@@ -1198,16 +977,11 @@ fn shadow_evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quclassi::model::{QuClassiConfig, QuClassiModel};
-    use quclassi::swap_test::FidelityEstimator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn compiled(seed: u64) -> CompiledModel {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let model =
-            QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, 3), &mut rng).unwrap();
-        CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap()
+        crate::test_artifact(seed, 3)
     }
 
     fn runtime(config: ServeConfig) -> ServeRuntime {

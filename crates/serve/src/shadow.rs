@@ -172,16 +172,9 @@ impl ShadowState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quclassi::model::{QuClassiConfig, QuClassiModel};
-    use quclassi::swap_test::FidelityEstimator;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn candidate() -> CompiledModel {
-        let mut rng = StdRng::seed_from_u64(0);
-        let model =
-            QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, 2), &mut rng).unwrap();
-        CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap()
+        crate::test_artifact(0, 2)
     }
 
     #[test]

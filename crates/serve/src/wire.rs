@@ -45,7 +45,7 @@
 use crate::error::ServeError;
 use crate::json::Json;
 use crate::metrics::RuntimeStats;
-use crate::runtime::{Client, MetricsSnapshot, ServeResponse};
+use crate::runtime::{env_nonempty, parse_positive, Client, ServeResponse};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -113,23 +113,10 @@ impl WireConfig {
     /// `ServeConfig::from_env` and `QUCLASSI_THREADS`.
     pub fn from_env() -> Result<Self, ServeError> {
         let mut config = WireConfig::default();
-        if let Some(raw) = std::env::var("QUCLASSI_MAX_CONNECTIONS")
-            .ok()
-            .filter(|v| !v.trim().is_empty())
-        {
-            config.max_connections = match raw.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    return Err(ServeError::InvalidConfig(format!(
-                        "QUCLASSI_MAX_CONNECTIONS must be a positive integer, got '{raw}'"
-                    )))
-                }
-            };
+        if let Some(raw) = env_nonempty("QUCLASSI_MAX_CONNECTIONS") {
+            config.max_connections = parse_positive("QUCLASSI_MAX_CONNECTIONS", &raw)?;
         }
-        if let Some(raw) = std::env::var("QUCLASSI_WIRE_TIMEOUT_MS")
-            .ok()
-            .filter(|v| !v.trim().is_empty())
-        {
+        if let Some(raw) = env_nonempty("QUCLASSI_WIRE_TIMEOUT_MS") {
             let ms: u64 = raw.trim().parse().map_err(|_| {
                 ServeError::InvalidConfig(format!(
                     "QUCLASSI_WIRE_TIMEOUT_MS must be a non-negative integer \
@@ -140,18 +127,8 @@ impl WireConfig {
             config.read_timeout = timeout;
             config.write_timeout = timeout;
         }
-        if let Some(raw) = std::env::var("QUCLASSI_WIRE_SHARDS")
-            .ok()
-            .filter(|v| !v.trim().is_empty())
-        {
-            config.shards = match raw.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    return Err(ServeError::InvalidConfig(format!(
-                        "QUCLASSI_WIRE_SHARDS must be a positive integer, got '{raw}'"
-                    )))
-                }
-            };
+        if let Some(raw) = env_nonempty("QUCLASSI_WIRE_SHARDS") {
+            config.shards = parse_positive("QUCLASSI_WIRE_SHARDS", &raw)?;
         }
         config.validate()?;
         Ok(config)
@@ -407,7 +384,7 @@ pub(crate) fn interpret(payload: &[u8], client: &Client) -> WireAction {
         }
         "metrics" => respond(Json::obj(vec![
             ("ok", Json::Bool(true)),
-            ("metrics", metrics_to_json(&client.metrics())),
+            ("metrics", client.metrics().to_json()),
         ])),
         "metrics_text" => respond(Json::obj(vec![
             ("ok", Json::Bool(true)),
@@ -579,87 +556,6 @@ pub(crate) fn prediction_to_json(response: &ServeResponse) -> Json {
         ("fidelities", Json::nums(&p.fidelities)),
         ("confidence", Json::Num(p.confidence())),
         ("margin", Json::Num(p.margin())),
-    ])
-}
-
-fn metrics_to_json(m: &MetricsSnapshot) -> Json {
-    let models = m
-        .models
-        .iter()
-        .map(|mm| {
-            Json::obj(vec![
-                ("name", Json::str(mm.name.clone())),
-                ("version", Json::Num(mm.version as f64)),
-                ("admitted", Json::Num(mm.stats.admitted as f64)),
-                ("completed", Json::Num(mm.stats.completed as f64)),
-                ("failed", Json::Num(mm.stats.failed as f64)),
-                ("rejected", Json::Num(mm.stats.rejected as f64)),
-                ("p50_us", Json::Num(mm.stats.latency.p50_us())),
-                ("p99_us", Json::Num(mm.stats.latency.p99_us())),
-                ("cache_hit_rate", Json::Num(mm.cache.hit_rate())),
-                ("cache_entries", Json::Num(mm.cache.entries as f64)),
-                ("cache_evictions", Json::Num(mm.cache.evictions as f64)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("uptime_us", Json::Num(m.uptime.as_micros() as f64)),
-        ("queue_depth", Json::Num(m.queue_depth as f64)),
-        ("queue_capacity", Json::Num(m.queue_capacity as f64)),
-        ("peak_queue_depth", Json::Num(m.peak_queue_depth as f64)),
-        ("admitted", Json::Num(m.admitted as f64)),
-        ("rejected", Json::Num(m.rejected as f64)),
-        ("completed", Json::Num(m.completed as f64)),
-        ("failed", Json::Num(m.failed as f64)),
-        ("batches", Json::Num(m.batches as f64)),
-        ("mean_batch_occupancy", Json::Num(m.mean_batch_occupancy())),
-        ("flush_on_size", Json::Num(m.flush_on_size as f64)),
-        ("flush_on_deadline", Json::Num(m.flush_on_deadline as f64)),
-        ("flush_on_close", Json::Num(m.flush_on_close as f64)),
-        ("wire_refusals", Json::Num(m.wire_refusals as f64)),
-        (
-            "refusal_write_failures",
-            Json::Num(m.refusal_write_failures as f64),
-        ),
-        ("draining_models", Json::Num(m.draining_models as f64)),
-        ("promotions", Json::Num(m.promotions as f64)),
-        ("rollbacks", Json::Num(m.rollbacks as f64)),
-        (
-            "candidates_rejected",
-            Json::Num(m.candidates_rejected as f64),
-        ),
-        ("train_cycles", Json::Num(m.train_cycles as f64)),
-        ("learner_panics", Json::Num(m.learner_panics as f64)),
-        ("shadow_batches", Json::Num(m.shadow_batches as f64)),
-        ("shadow_requests", Json::Num(m.shadow_requests as f64)),
-        ("throughput_rps", Json::Num(m.throughput_rps())),
-        ("in_flight", Json::Num(m.in_flight as f64)),
-        ("p50_us", Json::Num(m.latency.p50_us())),
-        ("p90_us", Json::Num(m.latency.p90_us())),
-        ("p99_us", Json::Num(m.latency.p99_us())),
-        ("min_us", Json::Num(m.latency.min_ns() as f64 / 1_000.0)),
-        ("max_us", Json::Num(m.latency.max_ns() as f64 / 1_000.0)),
-        ("stages", stages_to_json(&m.stages)),
-        ("models", Json::Arr(models)),
-    ])
-}
-
-/// Renders the per-stage latency breakdown for the `metrics` op.
-fn stages_to_json(stages: &crate::metrics::StageLatencies) -> Json {
-    let stage = |snap: &crate::metrics::HistogramSnapshot| {
-        Json::obj(vec![
-            ("count", Json::Num(snap.count() as f64)),
-            ("mean_us", Json::Num(snap.mean_ns() / 1_000.0)),
-            ("p50_us", Json::Num(snap.p50_us())),
-            ("p99_us", Json::Num(snap.p99_us())),
-        ])
-    };
-    Json::obj(vec![
-        ("encode", stage(&stages.encode)),
-        ("queue_wait", stage(&stages.queue_wait)),
-        ("assemble", stage(&stages.assemble)),
-        ("compute", stage(&stages.compute)),
-        ("write", stage(&stages.write)),
     ])
 }
 

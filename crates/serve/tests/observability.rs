@@ -3,73 +3,41 @@
 //! wire server, and the Prometheus-style `metrics_text` exposition must
 //! agree with the JSON `metrics` op it rides alongside.
 
-use quclassi::model::{QuClassiConfig, QuClassiModel};
-use quclassi::swap_test::FidelityEstimator;
-use quclassi_infer::CompiledModel;
+mod common;
+
+use common::{compiled, started_runtime};
 use quclassi_serve::json::Json;
-use quclassi_serve::{ServeConfig, ServeRuntime, WireClient, WireServer};
+use quclassi_serve::metrics::{Column, CACHE_COLUMNS, MODEL_COLUMNS, RUNTIME_COLUMNS};
+use quclassi_serve::{ServeConfig, ServeRuntime, TraceSpan, WireClient, WireServer};
 use quclassi_sim::batch::BatchExecutor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 
-fn compiled(seed: u64) -> CompiledModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model =
-        QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, 3), &mut rng).unwrap();
-    CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap()
-}
-
-fn started_runtime() -> ServeRuntime {
-    let runtime =
-        ServeRuntime::start(ServeConfig::default(), BatchExecutor::single_threaded(0)).unwrap();
-    runtime.deploy("iris", compiled(7)).unwrap();
-    runtime
-}
-
 /// A span decoded from the `trace` op's JSON.
-#[derive(Debug)]
-struct Span {
-    encode_ns: u64,
-    queue_wait_ns: u64,
-    assemble_ns: u64,
-    compute_ns: u64,
-    write_ns: u64,
-    total_ns: u64,
-    batch_size: u64,
-}
-
-impl Span {
-    fn from_json(span: &Json) -> (u64, Span) {
-        let field = |name: &str| {
-            span.get(name)
-                .and_then(Json::as_u64)
-                .unwrap_or_else(|| panic!("span field {name} missing in {span}"))
-        };
-        (
-            field("trace_id"),
-            Span {
-                encode_ns: field("encode_ns"),
-                queue_wait_ns: field("queue_wait_ns"),
-                assemble_ns: field("assemble_ns"),
-                compute_ns: field("compute_ns"),
-                write_ns: field("write_ns"),
-                total_ns: field("total_ns"),
-                batch_size: field("batch_size"),
-            },
-        )
-    }
-
-    fn stage_sum_ns(&self) -> u64 {
-        self.encode_ns + self.queue_wait_ns + self.assemble_ns + self.compute_ns + self.write_ns
-    }
+fn span_from_json(span: &Json) -> (u64, TraceSpan) {
+    let field = |name: &str| {
+        span.get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("span field {name} missing in {span}"))
+    };
+    let trace_id = field("trace_id");
+    let span = TraceSpan {
+        trace_id,
+        encode_ns: field("encode_ns"),
+        queue_wait_ns: field("queue_wait_ns"),
+        assemble_ns: field("assemble_ns"),
+        compute_ns: field("compute_ns"),
+        write_ns: field("write_ns"),
+        total_ns: field("total_ns"),
+        batch_size: field("batch_size"),
+    };
+    (trace_id, span)
 }
 
 /// The stage partition must tile the end-to-end latency: every stage fits
 /// inside the total, and the unattributed remainder (notifier hand-off,
 /// admission stamping) is bounded — the timeline genuinely reconstructs
 /// where the request's time went.
-fn assert_timeline_reconstructs(span: &Span, requests: usize) {
+fn assert_timeline_reconstructs(span: &TraceSpan, requests: usize) {
     assert!(span.total_ns > 0, "a served request took nonzero time");
     assert!(
         span.stage_sum_ns() <= span.total_ns,
@@ -113,12 +81,12 @@ fn pipeline_and_trace(wire: &mut WireClient, requests: usize) {
     let trace = wire.trace(requests).unwrap();
     assert!(trace.get("capacity").and_then(Json::as_u64).unwrap() >= requests as u64);
     assert!(trace.get("recorded").and_then(Json::as_u64).unwrap() >= requests as u64);
-    let spans: HashMap<u64, Span> = trace
+    let spans: HashMap<u64, TraceSpan> = trace
         .get("spans")
         .and_then(Json::as_arr)
         .expect("trace response carries a span array")
         .iter()
-        .map(Span::from_json)
+        .map(span_from_json)
         .collect();
     for id in &ids {
         let span = spans
@@ -130,7 +98,7 @@ fn pipeline_and_trace(wire: &mut WireClient, requests: usize) {
 
 #[test]
 fn trace_op_reconstructs_stage_timelines_on_the_event_loop_server() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
     pipeline_and_trace(&mut wire, 16);
@@ -140,7 +108,7 @@ fn trace_op_reconstructs_stage_timelines_on_the_event_loop_server() {
 
 #[test]
 fn in_process_requests_leave_spans_without_a_write_stage() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let client = runtime.client();
     for i in 0..8 {
         client
@@ -197,9 +165,83 @@ fn parse_exposition(text: &str) -> HashMap<String, f64> {
     samples
 }
 
+/// The JSON value at a dotted key (`stages.encode`).
+fn json_at<'a>(json: &'a Json, key: &str) -> &'a Json {
+    key.split('.').fold(json, |at, part| {
+        at.get(part)
+            .unwrap_or_else(|| panic!("metrics JSON lacks {key}"))
+    })
+}
+
+fn sample(samples: &HashMap<String, f64>, name: &str) -> f64 {
+    *samples
+        .get(name)
+        .unwrap_or_else(|| panic!("exposition lacks {name}"))
+}
+
+/// Asserts that every column of a metrics table reads the same in the JSON
+/// object and in the exposition samples carrying `label`: a counter or
+/// gauge by value, a histogram by its count and its `+Inf` bucket.
+fn assert_views_agree<T>(
+    columns: &[Column<T>],
+    json: &Json,
+    samples: &HashMap<String, f64>,
+    label: &str,
+) {
+    for column in columns {
+        let name = column.name;
+        let value = json_at(json, column.json);
+        if column.kind != "histogram" {
+            let series = format!("{name}{label}");
+            assert_eq!(
+                value.as_f64(),
+                Some(sample(samples, &series)),
+                "{} vs {series}",
+                column.json
+            );
+            continue;
+        }
+        let count = value.get("count").and_then(Json::as_f64);
+        let inf = match label {
+            "" => "{le=\"+Inf\"}".to_string(),
+            _ => format!("{}, le=\"+Inf\"}}", label.trim_end_matches('}')),
+        };
+        for series in [
+            format!("{name}_count{label}"),
+            format!("{name}_bucket{inf}"),
+        ] {
+            assert_eq!(
+                count,
+                Some(sample(samples, &series)),
+                "{}.count vs {series}",
+                column.json
+            );
+        }
+    }
+}
+
+/// Asserts the JSON `models[]` entry of `model` and its `{model="…"}` text
+/// series agree column by column, and returns the entry.
+fn model_views_agree(json: &Json, samples: &HashMap<String, f64>, model: &str) -> Json {
+    let entry = json
+        .get("models")
+        .and_then(Json::as_arr)
+        .and_then(|models| {
+            models
+                .iter()
+                .find(|m| m.get("name").and_then(Json::as_str) == Some(model))
+        })
+        .unwrap_or_else(|| panic!("metrics JSON has no models[] entry for {model}"))
+        .clone();
+    let label = format!("{{model=\"{model}\"}}");
+    assert_views_agree(MODEL_COLUMNS, &entry, samples, &label);
+    assert_views_agree(CACHE_COLUMNS, &entry, samples, &label);
+    entry
+}
+
 #[test]
 fn text_exposition_round_trips_against_the_json_metrics_op() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
 
@@ -215,103 +257,70 @@ fn text_exposition_round_trips_against_the_json_metrics_op() {
     let json = wire.metrics().unwrap();
     let samples = parse_exposition(&wire.metrics_text().unwrap());
 
-    let json_num = |name: &str| {
-        json.get(name)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("metrics JSON lacks {name}"))
-    };
-    let sample = |name: &str| {
-        *samples
-            .get(name)
-            .unwrap_or_else(|| panic!("exposition lacks {name}"))
-    };
-
-    // Every serve/online/wire counter the JSON op reports must appear in
-    // the exposition with the same value.
-    let counter_pairs = [
-        ("admitted", "quclassi_serve_admitted_total"),
-        ("rejected", "quclassi_serve_rejected_total"),
-        ("completed", "quclassi_serve_completed_total"),
-        ("failed", "quclassi_serve_failed_total"),
-        ("batches", "quclassi_serve_batches_total"),
-        ("flush_on_size", "quclassi_serve_flush_size_total"),
-        ("flush_on_deadline", "quclassi_serve_flush_deadline_total"),
-        ("flush_on_close", "quclassi_serve_flush_close_total"),
-        ("wire_refusals", "quclassi_wire_refusals_total"),
-        (
-            "refusal_write_failures",
-            "quclassi_wire_refusal_write_failures_total",
-        ),
-        ("promotions", "quclassi_online_promotions_total"),
-        ("rollbacks", "quclassi_online_rollbacks_total"),
-        (
-            "candidates_rejected",
-            "quclassi_online_candidates_rejected_total",
-        ),
-        ("train_cycles", "quclassi_online_train_cycles_total"),
-        ("learner_panics", "quclassi_online_learner_panics_total"),
-        ("shadow_batches", "quclassi_online_shadow_batches_total"),
-        ("shadow_requests", "quclassi_online_shadow_requests_total"),
-        ("queue_depth", "quclassi_serve_queue_depth"),
-        ("in_flight", "quclassi_serve_in_flight"),
-    ];
-    for (json_name, text_name) in counter_pairs {
-        assert_eq!(
-            json_num(json_name),
-            sample(text_name),
-            "{json_name} and {text_name} must agree"
-        );
-    }
-    assert!(json_num("admitted") >= 12.0);
-    assert!(
-        json_num("rejected") >= 1.0,
-        "unknown model counted rejected"
-    );
-    assert_eq!(json_num("in_flight"), 0.0);
-
-    // Histogram families expose a count that matches the JSON stage
-    // breakdown, plus +Inf buckets that equal it.
-    let stages = json.get("stages").expect("metrics JSON has a stage map");
-    for stage in ["encode", "queue_wait", "assemble", "compute", "write"] {
-        let json_count = stages
-            .get(stage)
-            .and_then(|s| s.get("count"))
-            .and_then(Json::as_f64)
-            .unwrap();
-        let family = format!("quclassi_serve_stage_{stage}_ns");
-        assert_eq!(json_count, sample(&format!("{family}_count")));
-        assert_eq!(
-            json_count,
-            sample(&format!("{family}_bucket{{le=\"+Inf\"}}"))
-        );
-    }
-    assert_eq!(
-        json_num("completed"),
-        sample("quclassi_serve_latency_ns_count")
-    );
+    // Every runtime-wide series, by its JSON key against its exposition
+    // sample.
+    assert_views_agree(RUNTIME_COLUMNS, &json, &samples, "");
+    let num = |key: &str| json_at(&json, key).as_f64().unwrap();
+    assert!(num("admitted") >= 12.0);
+    assert!(num("rejected") >= 1.0, "unknown model counted rejected");
+    assert_eq!(num("in_flight"), 0.0);
+    assert_eq!(num("wire_connections"), 1.0);
+    assert_eq!(num("completed"), num("latency.count"));
 
     // Per-model and cache series carry the model name as a label.
-    let model = json
-        .get("models")
-        .and_then(Json::as_arr)
-        .and_then(|models| models.first())
-        .expect("one deployed model");
-    assert_eq!(
-        model.get("completed").and_then(Json::as_f64).unwrap(),
-        sample("quclassi_model_completed_total{model=\"iris\"}")
-    );
-    assert_eq!(
-        model.get("cache_entries").and_then(Json::as_f64).unwrap(),
-        sample("quclassi_cache_entries{model=\"iris\"}")
-    );
-    assert_eq!(
-        model.get("cache_evictions").and_then(Json::as_f64).unwrap(),
-        sample("quclassi_cache_evictions_total{model=\"iris\"}")
-    );
+    let model = model_views_agree(&json, &samples, "iris");
+    assert_eq!(model.get("completed").and_then(Json::as_f64), Some(12.0));
 
     // Whether kernel profiling is live is itself exposed.
     assert!(samples.contains_key("quclassi_sim_profile_enabled"));
 
+    server.shutdown();
+    runtime.shutdown();
+}
+
+/// Asserts that both views of `"iris"` agree and report `version` with
+/// `served` answered requests and `rejected` rejections.
+fn expect_iris(wire: &mut WireClient, version: u64, served: f64, rejected: f64) {
+    let samples = parse_exposition(&wire.metrics_text().unwrap());
+    let entry = model_views_agree(&wire.metrics().unwrap(), &samples, "iris");
+    for (column, want) in [
+        ("version", version as f64),
+        ("admitted", served),
+        ("completed", served),
+        ("failed", 0.0),
+        ("rejected", rejected),
+        ("latency.count", served),
+    ] {
+        assert_eq!(
+            json_at(&entry, column).as_f64(),
+            Some(want),
+            "{column} of version {version}"
+        );
+    }
+}
+
+/// Checks that `version` starts from zero, then serves it `n` predicts
+/// and one rejected request.
+fn serve_version(wire: &mut WireClient, version: u64, n: usize) {
+    expect_iris(wire, version, 0.0, 0.0);
+    for i in 0..n {
+        let x = [0.1 * i as f64, 0.3, 0.6, 0.2];
+        assert_eq!(wire.predict("iris", &x).unwrap().version, version);
+    }
+    assert!(wire.predict("iris", &[0.1, 0.2]).is_err());
+    expect_iris(wire, version, n as f64, 1.0);
+}
+
+#[test]
+fn model_series_follow_the_active_version_across_hot_swap_and_rollback() {
+    let runtime = started_runtime(ServeConfig::default());
+    let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
+    let mut wire = WireClient::connect(server.local_addr()).unwrap();
+    serve_version(&mut wire, 1, 5);
+    assert_eq!(runtime.deploy("iris", compiled(8)).unwrap(), 2);
+    serve_version(&mut wire, 2, 3);
+    assert_eq!(runtime.rollback("iris").unwrap(), 3);
+    serve_version(&mut wire, 3, 2);
     server.shutdown();
     runtime.shutdown();
 }

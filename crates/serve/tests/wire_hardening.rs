@@ -10,36 +10,19 @@
 //!    depth cap — pinned here end-to-end: the server answers with a
 //!    client-error frame and keeps serving.
 
-use quclassi::model::{QuClassiConfig, QuClassiModel};
-use quclassi::swap_test::FidelityEstimator;
-use quclassi_infer::CompiledModel;
+mod common;
+
+use common::started_runtime;
 use quclassi_serve::json::{Json, MAX_PARSE_DEPTH};
 use quclassi_serve::wire::{read_frame, write_frame};
-use quclassi_serve::{ServeConfig, ServeRuntime, WireClient, WireConfig, WireServer};
-use quclassi_sim::batch::BatchExecutor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use quclassi_serve::{ServeConfig, WireClient, WireConfig, WireServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-fn compiled(seed: u64) -> CompiledModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model =
-        QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, 2), &mut rng).unwrap();
-    CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap()
-}
-
-fn started_runtime() -> ServeRuntime {
-    let runtime =
-        ServeRuntime::start(ServeConfig::default(), BatchExecutor::single_threaded(0)).unwrap();
-    runtime.deploy("iris", compiled(7)).unwrap();
-    runtime
-}
-
 #[test]
 fn slow_client_is_disconnected_by_the_read_deadline() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start_with(
         "127.0.0.1:0",
         runtime.client(),
@@ -84,7 +67,7 @@ fn slow_client_is_disconnected_by_the_read_deadline() {
 
 #[test]
 fn connections_beyond_the_cap_get_a_retryable_saturated_error() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start_with(
         "127.0.0.1:0",
         runtime.client(),
@@ -171,7 +154,7 @@ fn connections_beyond_the_cap_get_a_retryable_saturated_error() {
 
 #[test]
 fn deeply_nested_payloads_get_an_error_frame_and_the_process_survives() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
 
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();

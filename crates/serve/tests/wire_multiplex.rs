@@ -2,32 +2,16 @@
 //! in-flight requests per connection, responses matched by `"id"` rather
 //! than arrival order, and frame assembly under hostile byte chunking.
 
-use quclassi::model::{QuClassiConfig, QuClassiModel};
-use quclassi::swap_test::FidelityEstimator;
-use quclassi_infer::CompiledModel;
+mod common;
+
+use common::started_runtime;
 use quclassi_serve::json::Json;
 use quclassi_serve::wire::write_frame;
-use quclassi_serve::{ServeConfig, ServeRuntime, WireClient, WireServer};
-use quclassi_sim::batch::BatchExecutor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use quclassi_serve::{ServeConfig, WireClient, WireServer};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
-
-fn compiled(seed: u64) -> CompiledModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model =
-        QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, 3), &mut rng).unwrap();
-    CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap()
-}
-
-fn started_runtime(config: ServeConfig) -> ServeRuntime {
-    let runtime = ServeRuntime::start(config, BatchExecutor::single_threaded(0)).unwrap();
-    runtime.deploy("iris", compiled(7)).unwrap();
-    runtime
-}
 
 #[test]
 fn pipelined_predictions_resolve_by_id_and_match_in_process_serving() {

@@ -2,32 +2,15 @@
 //! real runtime behind it, and byte-level assertions that remote serving
 //! is indistinguishable from in-process serving.
 
-use quclassi::model::{QuClassiConfig, QuClassiModel};
-use quclassi::swap_test::FidelityEstimator;
-use quclassi_infer::CompiledModel;
+mod common;
+
+use common::{compiled, started_runtime};
 use quclassi_serve::json::Json;
-use quclassi_serve::{ServeConfig, ServeRuntime, WireClient, WireServer};
-use quclassi_sim::batch::BatchExecutor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn compiled(seed: u64) -> CompiledModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model =
-        QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, 3), &mut rng).unwrap();
-    CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap()
-}
-
-fn started_runtime() -> ServeRuntime {
-    let runtime =
-        ServeRuntime::start(ServeConfig::default(), BatchExecutor::single_threaded(0)).unwrap();
-    runtime.deploy("iris", compiled(7)).unwrap();
-    runtime
-}
+use quclassi_serve::{ServeConfig, WireClient, WireServer};
 
 #[test]
 fn wire_predictions_are_bit_identical_to_in_process_serving() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
     let local = runtime.client();
@@ -65,7 +48,7 @@ fn wire_predictions_are_bit_identical_to_in_process_serving() {
 
 #[test]
 fn wire_errors_carry_stable_kinds() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
 
@@ -119,7 +102,7 @@ fn wire_errors_carry_stable_kinds() {
 
 #[test]
 fn wire_exposes_models_and_metrics() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     runtime.deploy("mnist", compiled(9)).unwrap();
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
@@ -180,7 +163,7 @@ fn wire_exposes_models_and_metrics() {
 
 #[test]
 fn concurrent_wire_connections_are_served_independently() {
-    let runtime = started_runtime();
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let addr = server.local_addr();
 

@@ -15,6 +15,7 @@
 //! | `crate-attributes` | first-party lib roots carry `#![forbid(unsafe_code)]` **and** `#![deny(missing_docs)]`; bin roots carry `#![forbid(unsafe_code)]` |
 //! | `env-knobs` | every `QUCLASSI_*` variable read in code has a row in README's knob table, and every table row names a variable the code reads |
 //! | `metric-names` | registry metric literals match `quclassi_<area>_<metric>`; counters end `_total`, histograms end `_ns`, gauges end in neither |
+//! | `metric-single-definition` | each `quclassi_*` metric name literal appears at exactly one site in `crates/*/src` non-test code |
 //! | `error-kinds` | the wire `kind` strings in `crates/serve/src/error.rs` exactly match README's documented stable set |
 //! | `seqcst-justification` | no `SeqCst` in first-party code without a `// seqcst:` justification on the same or previous line |
 //! | `shim-bypass` | model-checked protocol files use `crate::quclassi_sync`, never `std::sync` directly (test modules exempt) |
@@ -28,7 +29,14 @@
 //!   modules at file tails).
 //! * Templated metric names (format strings carrying `{label}` sets or
 //!   interpolated segments) are charset-checked up to the first `{`;
-//!   the suffix/shape rules need the full literal name.
+//!   the suffix/shape rules need the full literal name, and
+//!   `metric-single-definition` compares the prefix before the `{`.
+//! * A metric's kind is the word right before its literal, past any `(`,
+//!   `&`, `,`, quotes and spaces: `registry.counter("…")`, a
+//!   declaration-table row `field: counter "…" => "…"`,
+//!   `column!(counter "…" => …)`, or a `("counter", "…")` tuple.
+//!   `float_gauge` counts as a gauge; a literal with no kind word in front
+//!   is shape-checked only.
 //! * The linter's own sources are excluded from the token-scan rules
 //!   (`env-knobs`, `metric-names`, `unsafe-confinement`,
 //!   `seqcst-justification`): rule fixtures and messages necessarily
@@ -177,6 +185,7 @@ pub fn lint(files: &[SourceFile]) -> Vec<Finding> {
     rule_crate_attributes(files, &mut findings);
     rule_env_knobs(files, &mut findings);
     rule_metric_names(files, &mut findings);
+    rule_metric_single_definition(files, &mut findings);
     rule_error_kinds(files, &mut findings);
     rule_seqcst_justification(files, &mut findings);
     rule_shim_bypass(files, &mut findings);
@@ -360,104 +369,115 @@ fn rule_env_knobs(files: &[SourceFile], findings: &mut Vec<Finding>) {
     }
 }
 
-/// Extracts every `"quclassi_..."` string literal in a line.
-fn scan_metric_literals(line: &str, out: &mut Vec<String>) {
-    let mut start = 0;
-    while let Some(pos) = line[start..].find("\"quclassi_") {
-        let at = start + pos + 1;
-        match line[at..].find('"') {
-            Some(end) => {
-                out.push(line[at..at + end].to_string());
-                start = at + end + 1;
-            }
-            None => break,
-        }
+/// The metric kind named right before a literal at `quote`: the trailing
+/// word of `code[..quote]` once `(`, `&`, `,`, quotes and spaces are
+/// skipped.
+fn kind_before(code: &str, quote: usize) -> Option<&'static str> {
+    let head = code[..quote].trim_end_matches([' ', '(', '&', ',', '"']);
+    let word_start = head
+        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .map_or(0, |i| i + 1);
+    match &head[word_start..] {
+        "counter" => Some("counter"),
+        "histogram" => Some("histogram"),
+        "gauge" | "float_gauge" => Some("gauge"),
+        _ => None,
     }
 }
 
-fn rule_metric_names(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    for f in files.iter() {
+/// Every `quclassi_*` literal in `crates/*/src` non-test code, as
+/// `(path, 1-based line, code portion, quote offset, literal)`.
+fn metric_literal_sites(files: &[SourceFile]) -> Vec<(&str, usize, &str, usize, String)> {
+    let mut sites = Vec::new();
+    for f in files {
         if !f.path.starts_with("crates/") || !f.path.contains("/src/") || !f.path.ends_with(".rs") {
             continue;
         }
         let tail = f.test_tail_start();
         for (i, line) in f.lines.iter().take(tail).enumerate() {
             let code = code_portion(line);
-            let mut literals = Vec::new();
-            scan_metric_literals(code, &mut literals);
-            for name in literals {
-                // A `{` marks a format-string template (a Prometheus
-                // label set, or an interpolated name segment): only the
-                // charset of the static prefix can be checked.
-                if let Some(brace) = name.find('{') {
-                    let prefix = name[..brace].trim_end_matches('_');
-                    let clean = prefix.split('_').all(|part| {
-                        !part.is_empty()
-                            && part
-                                .chars()
-                                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
-                    });
-                    if !clean {
-                        findings.push(Finding {
-                            rule: "metric-names",
-                            path: f.path.clone(),
-                            line: i + 1,
-                            message: format!(
-                                "templated metric `{name}` has a malformed static prefix \
-                                 (want lowercase `quclassi_<area>_...`)"
-                            ),
-                        });
-                    }
-                    continue;
-                }
-                let well_formed = name.split('_').all(|part| {
-                    !part.is_empty()
-                        && part
-                            .chars()
-                            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
-                }) && name.split('_').count() >= 3;
-                if !well_formed {
-                    findings.push(Finding {
-                        rule: "metric-names",
-                        path: f.path.clone(),
-                        line: i + 1,
-                        message: format!(
-                            "metric `{name}` does not match `quclassi_<area>_<metric>[_total|_ns]`"
-                        ),
-                    });
-                    continue;
-                }
-                let is_counter = code.contains(".counter(") || code.contains("\"counter\"");
-                let is_histogram = code.contains(".histogram(") || code.contains("\"histogram\"");
-                let is_gauge = code.contains(".gauge(")
-                    || code.contains(".float_gauge(")
-                    || code.contains("\"gauge\"")
-                    || code.contains("\"float_gauge\"");
-                if is_counter && !name.ends_with("_total") {
-                    findings.push(Finding {
-                        rule: "metric-names",
-                        path: f.path.clone(),
-                        line: i + 1,
-                        message: format!("counter `{name}` must end in `_total`"),
-                    });
-                } else if is_histogram && !name.ends_with("_ns") {
-                    findings.push(Finding {
-                        rule: "metric-names",
-                        path: f.path.clone(),
-                        line: i + 1,
-                        message: format!("histogram `{name}` must end in `_ns`"),
-                    });
-                } else if is_gauge && (name.ends_with("_total") || name.ends_with("_ns")) {
-                    findings.push(Finding {
-                        rule: "metric-names",
-                        path: f.path.clone(),
-                        line: i + 1,
-                        message: format!(
-                            "gauge `{name}` must not use the `_total`/`_ns` reserved suffixes"
-                        ),
-                    });
-                }
+            let mut start = 0;
+            while let Some(pos) = code[start..].find("\"quclassi_") {
+                let quote = start + pos;
+                let Some(len) = code[quote + 1..].find('"') else {
+                    break;
+                };
+                let name = code[quote + 1..quote + 1 + len].to_string();
+                sites.push((f.path.as_str(), i + 1, code, quote, name));
+                start = quote + len + 2;
             }
+        }
+    }
+    sites
+}
+
+fn rule_metric_names(files: &[SourceFile], findings: &mut Vec<Finding>) {
+    for (path, line, code, quote, name) in metric_literal_sites(files) {
+        let mut flag = |message: String| {
+            findings.push(Finding {
+                rule: "metric-names",
+                path: path.to_string(),
+                line,
+                message,
+            })
+        };
+        let clean = |name: &str| {
+            name.split('_').all(|part| {
+                !part.is_empty()
+                    && part
+                        .chars()
+                        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+            })
+        };
+        // A `{` marks a format-string template (a Prometheus label set, or
+        // an interpolated name segment): only the charset of the static
+        // prefix can be checked.
+        if let Some(brace) = name.find('{') {
+            if !clean(name[..brace].trim_end_matches('_')) {
+                flag(format!(
+                    "templated metric `{name}` has a malformed static prefix \
+                     (want lowercase `quclassi_<area>_...`)"
+                ));
+            }
+            continue;
+        }
+        if !clean(&name) || name.split('_').count() < 3 {
+            flag(format!(
+                "metric `{name}` does not match `quclassi_<area>_<metric>[_total|_ns]`"
+            ));
+            continue;
+        }
+        match kind_before(code, quote) {
+            Some("counter") if !name.ends_with("_total") => {
+                flag(format!("counter `{name}` must end in `_total`"))
+            }
+            Some("histogram") if !name.ends_with("_ns") => {
+                flag(format!("histogram `{name}` must end in `_ns`"))
+            }
+            Some("gauge") if name.ends_with("_total") || name.ends_with("_ns") => flag(format!(
+                "gauge `{name}` must not use the `_total`/`_ns` reserved suffixes"
+            )),
+            _ => {}
+        }
+    }
+}
+
+fn rule_metric_single_definition(files: &[SourceFile], findings: &mut Vec<Finding>) {
+    let mut first: Vec<(String, String, usize)> = Vec::new(); // (name, path, line)
+    for (path, line, _, _, literal) in metric_literal_sites(files) {
+        let name = literal.split('{').next().unwrap_or(&literal).to_string();
+        match first.iter().find(|(n, _, _)| *n == name) {
+            Some((_, p, l)) if (p.as_str(), *l) != (path, line) => findings.push(Finding {
+                rule: "metric-single-definition",
+                path: path.to_string(),
+                line,
+                message: format!(
+                    "metric `{name}` is already spelled out at {p}:{l}; declare each \
+                     metric once and read its name from that declaration"
+                ),
+            }),
+            Some(_) => {}
+            None => first.push((name, path.to_string(), line)),
         }
     }
 }
@@ -793,6 +813,64 @@ mod tests {
             "only the uppercase prefix fires: {findings:?}"
         );
         assert_eq!(hits[0].line, 2);
+    }
+
+    #[test]
+    fn declaration_table_rows_are_kind_checked() {
+        let mut files = clean_files();
+        files.push(SourceFile::new(
+            "crates/serve/src/m.rs",
+            "runtime_metrics! {\n\
+             /// Fine.\n\
+             admitted: counter \"quclassi_serve_admitted_total\" => \"admitted\",\n\
+             rejected: counter \"quclassi_serve_rejected\" => \"rejected\",\n\
+             depth: gauge \"quclassi_serve_depth_total\" => \"depth\",\n\
+             ratio: float_gauge \"quclassi_serve_ratio_ns\" => \"ratio\",\n\
+             latency: histogram \"quclassi_serve_latency\" => \"latency\",\n\
+             }\n\
+             const C: &[Column<S>] = &[\n\
+             column!(counter \"quclassi_cache_hits\" => \"cache_hits\", |c| c.hits),\n\
+             column!(gauge \"quclassi_cache_entries\" => \"cache_entries\", |c| c.entries),\n\
+             (\"counter\", \"quclassi_sim_sweeps\", p.sweeps),\n\
+             ];\n",
+        ));
+        let findings = lint(&files);
+        let lines: Vec<usize> = findings
+            .iter()
+            .filter(|f| f.rule == "metric-names")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![4, 5, 6, 7, 10, 12], "{findings:?}");
+    }
+
+    #[test]
+    fn a_metric_spelled_out_twice_is_flagged() {
+        let mut files = clean_files();
+        files.push(SourceFile::new(
+            "crates/serve/src/a.rs",
+            "fn f(r: &R) { r.counter(\"quclassi_serve_x_total\"); }\n\
+             fn g(r: &R) { r.gauge(&format!(\"quclassi_wire_shard{{shard=\\\"{i}\\\"}}\")); }\n\
+             #[cfg(test)]\n\
+             mod tests {\n    const N: &str = \"quclassi_serve_x_total\";\n}\n",
+        ));
+        assert_eq!(lint(&files), Vec::new(), "one site each; test tails exempt");
+        files.push(SourceFile::new(
+            "crates/serve/src/b.rs",
+            "fn h(s: &S) -> u64 { s.get(\"quclassi_serve_x_total\") }\n\
+             fn k(r: &R) { r.gauge(&format!(\"quclassi_wire_shard{{id=\\\"{i}\\\"}}\")); }\n",
+        ));
+        let findings = lint(&files);
+        let hits: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "metric-single-definition")
+            .map(|f| (f.path.as_str(), f.line))
+            .collect();
+        assert_eq!(
+            hits,
+            vec![("crates/serve/src/b.rs", 1), ("crates/serve/src/b.rs", 2)],
+            "{findings:?}"
+        );
+        assert!(findings[0].message.contains("crates/serve/src/a.rs:1"));
     }
 
     #[test]
