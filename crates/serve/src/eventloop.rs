@@ -35,9 +35,14 @@
 //! ## Multiplexing
 //!
 //! Control ops are answered synchronously inside the loop. A predict
-//! request is submitted to the scheduler with a completion notifier that
-//! fires the shard's waker; the loop keeps serving other sockets, and
-//! when the waker fires it collects every completed prediction
+//! request is submitted with the shard's completion notifier (built once
+//! per shard), which fires the shard's waker. A predict the runtime runs
+//! to completion (a product-state artifact under a zero batch window, see
+//! [`crate::runtime`]) is evaluated on the shard during admission; the
+//! loop finds it answered, enqueues its response in the same readiness
+//! pass, and the notifier is never fired for it. Any other predict goes
+//! to the scheduler: the loop keeps serving other sockets, and when the
+//! waker fires it collects every completed prediction
 //! ([`PendingPrediction::take_if_ready`]), stamps each response with its
 //! request's echoed `"id"`, and enqueues it on the owning connection —
 //! which is how one connection can have many predictions in flight and
@@ -63,7 +68,7 @@
 use crate::error::ServeError;
 use crate::json::Json;
 use crate::metrics::Gauge;
-use crate::runtime::{Client, CompletionNotifier, PendingPrediction, ResponseSlot};
+use crate::runtime::{Client, CompletionNotifier, PendingPrediction, ResponseSlot, ServeResponse};
 use crate::wire::{
     append_frame, error_response, interpret, prediction_to_json, refuse_stream, trace_id_for,
     with_id, FrameDecoder, WireAction, WireConfig, ACCEPT_ERROR_BACKOFF, READ_CHUNK_BYTES,
@@ -152,6 +157,10 @@ impl WireServer {
         let mut shards = Vec::with_capacity(config.shards);
         for (index, poller) in pollers.into_iter().enumerate() {
             let waker = Arc::clone(&mailboxes[index].waker);
+            let notifier: CompletionNotifier = {
+                let waker = Arc::clone(&waker);
+                Arc::new(move || waker.wake())
+            };
             let shard_connections = client.metrics_registry().gauge(&format!(
                 "quclassi_wire_shard_connections{{shard=\"{index}\"}}"
             ));
@@ -162,12 +171,15 @@ impl WireServer {
                 listener: if index == 0 { listener.take() } else { None },
                 next_peer: 0,
                 client: client.clone(),
+                notifier,
                 config: config.clone(),
                 shutdown: Arc::clone(&shutdown),
                 open: Arc::clone(&open),
                 conns: Vec::new(),
                 free: Vec::new(),
                 pending: Vec::new(),
+                frames: Vec::new(),
+                touched: Vec::new(),
                 next_generation: 0,
                 sweep_interval: sweep_interval(&config),
                 last_sweep: Instant::now(),
@@ -306,6 +318,24 @@ impl Conn {
         append_frame(&mut self.out, payload);
         self.queued_total += 4 + payload.len() as u64;
     }
+
+    /// Enqueues a prediction's response under its echoed id and starts its
+    /// write stage, which runs from here to the moment the socket accepts
+    /// the response's last byte.
+    fn enqueue_prediction(
+        &mut self,
+        result: Result<ServeResponse, ServeError>,
+        id: Option<Json>,
+        trace: Arc<ResponseSlot>,
+    ) {
+        let response = match result {
+            Ok(response) => prediction_to_json(&response),
+            Err(e) => error_response(&e),
+        };
+        self.enqueue_frame(with_id(response, id).to_string().as_bytes());
+        self.trace_writes
+            .push_back((self.queued_total, Instant::now(), trace));
+    }
 }
 
 /// A prediction in flight: which connection (and which tenancy of that
@@ -326,6 +356,9 @@ struct Shard {
     listener: Option<TcpListener>,
     next_peer: usize,
     client: Client,
+    /// Fires this shard's waker; shared by every predict the shard hands
+    /// to the scheduler.
+    notifier: CompletionNotifier,
     config: WireConfig,
     shutdown: Arc<AtomicBool>,
     /// Open connections across *all* shards (the connection-cap counter).
@@ -333,6 +366,10 @@ struct Shard {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     pending: Vec<PendingEntry>,
+    /// Reused per socket read: the frames one read completed.
+    frames: Vec<Vec<u8>>,
+    /// Reused per wake: connections that received completions.
+    touched: Vec<usize>,
     next_generation: u64,
     sweep_interval: Option<Duration>,
     last_sweep: Instant,
@@ -513,7 +550,7 @@ impl Shard {
     /// Delivers every completed prediction to its (still-live, same
     /// tenancy) connection.
     fn collect_completions(&mut self) {
-        let mut touched = Vec::new();
+        let mut touched = std::mem::take(&mut self.touched);
         let mut i = 0;
         while i < self.pending.len() {
             let Some(result) = self.pending[i].handle.take_if_ready() else {
@@ -521,28 +558,17 @@ impl Shard {
                 continue;
             };
             let entry = self.pending.swap_remove(i);
-            let response = match result {
-                Ok(response) => prediction_to_json(&response),
-                Err(e) => error_response(&e),
-            };
-            let response = with_id(response, entry.id);
             if let Some(conn) = self.conns.get_mut(entry.slot).and_then(Option::as_mut) {
                 if conn.generation == entry.generation {
-                    conn.enqueue_frame(response.to_string().as_bytes());
-                    // The write stage runs from here (response enqueued)
-                    // to the moment the socket accepts its last byte.
-                    conn.trace_writes.push_back((
-                        conn.queued_total,
-                        Instant::now(),
-                        entry.handle.trace_slot(),
-                    ));
+                    conn.enqueue_prediction(result, entry.id, entry.handle.trace_slot());
                     touched.push(entry.slot);
                 }
             }
         }
-        for slot in touched {
+        for slot in touched.drain(..) {
             self.flush(slot);
         }
+        self.touched = touched;
     }
 
     /// Services one connection's readiness events.
@@ -608,13 +634,14 @@ impl Shard {
                 conn.closing = true;
                 break;
             }
-            let mut frames = Vec::new();
+            let mut frames = std::mem::take(&mut self.frames);
             while let Some(frame) = conn.decoder.next_frame() {
                 frames.push(frame);
             }
-            for frame in frames {
+            for frame in frames.drain(..) {
                 self.handle_frame(slot, &frame);
             }
+            self.frames = frames;
         }
         self.flush(slot);
     }
@@ -632,34 +659,33 @@ impl Shard {
                 features,
                 id,
             } => {
-                let waker = Arc::clone(&self.mailboxes[self.index].waker);
-                let notifier: CompletionNotifier = Arc::new(move || waker.wake());
-                match self.client.submit_wire(
+                let submitted = self.client.submit_wire(
                     &model,
                     &features,
-                    Some(notifier),
+                    Some(Arc::clone(&self.notifier)),
                     trace_id_for(id.as_ref()),
-                ) {
-                    Ok(handle) => {
-                        let generation = match self.conns.get(slot).and_then(Option::as_ref) {
-                            Some(conn) => conn.generation,
-                            None => return, // connection died mid-batch
-                        };
-                        self.pending.push(PendingEntry {
+                );
+                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                    return; // connection died mid-batch
+                };
+                match submitted {
+                    // Run to completion during admission: respond in this
+                    // same readiness pass.
+                    Ok(handle) => match handle.take_if_ready() {
+                        Some(result) => conn.enqueue_prediction(result, id, handle.trace_slot()),
+                        None => self.pending.push(PendingEntry {
                             slot,
-                            generation,
+                            generation: conn.generation,
                             id,
                             handle,
-                        });
-                    }
+                        }),
+                    },
+                    // Admission errors (saturated, unknown model, bad
+                    // features) answer immediately, id attached, and the
+                    // connection lives on.
                     Err(e) => {
-                        // Admission errors (saturated, unknown model, bad
-                        // features) answer immediately, id attached, and
-                        // the connection lives on.
                         let response = with_id(error_response(&e), id);
-                        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                            conn.enqueue_frame(response.to_string().as_bytes());
-                        }
+                        conn.enqueue_frame(response.to_string().as_bytes());
                     }
                 }
             }

@@ -54,9 +54,13 @@ pub mod mutations {
     /// Makes `SwapMap::publish` drop the write lock between version
     /// assignment and insert.
     pub const SWAP_SPLIT_PUBLISH: usize = 6;
+    /// Makes `BoundedQueue::pop_batch` report a closed, empty queue as
+    /// drained while a run-to-completion request is still running.
+    pub const QUEUE_IGNORE_RUNNING: usize = 7;
 
-    pub(super) const COUNT: usize = 7;
+    pub(super) const COUNT: usize = 8;
     pub(super) static FLAGS: [AtomicBool; COUNT] = [
+        AtomicBool::new(false),
         AtomicBool::new(false),
         AtomicBool::new(false),
         AtomicBool::new(false),
@@ -136,11 +140,20 @@ impl QueueProbe {
     /// `try_push`; `Ok(())` on admit, `Err(true)` when saturated,
     /// `Err(false)` when shut down.
     pub fn push(&self, value: u32) -> Result<(), bool> {
-        match self.queue.try_push(value) {
+        match self.queue.try_push(value, || {}) {
             Ok(()) => Ok(()),
             Err(ServeError::Saturated { .. }) => Err(true),
             Err(_) => Err(false),
         }
+    }
+
+    /// Admits a request that runs to completion on this thread, runs `f`
+    /// as its evaluation, then finishes it; `Err(false)` when shut down
+    /// (`f` does not run).
+    pub fn run_inline(&self, f: impl FnOnce()) -> Result<(), bool> {
+        let _running = self.queue.admit_inline(|| {}).map_err(|_| false)?;
+        f();
+        Ok(())
     }
 
     /// `pop_batch` with a zero window (the model's condvar treats timed

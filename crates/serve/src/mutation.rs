@@ -50,6 +50,15 @@ mod imp {
         false
     }
 
+    /// Whether `BoundedQueue::pop_batch` reports a closed, empty queue as
+    /// drained while a request admitted to run to completion is still
+    /// running (shutdown returning before that request is answered).
+    /// Shipped: no.
+    #[inline(always)]
+    pub(crate) const fn queue_ignore_running() -> bool {
+        false
+    }
+
     /// Whether `ResponseSlot::fulfill` notifies *before* publishing the
     /// result (a lost-wakeup bug). Shipped: no.
     #[inline(always)]
@@ -97,6 +106,10 @@ mod imp {
 
     pub(crate) fn queue_notify_early() -> bool {
         mutations::active(mutations::QUEUE_NOTIFY_EARLY)
+    }
+
+    pub(crate) fn queue_ignore_running() -> bool {
+        mutations::active(mutations::QUEUE_IGNORE_RUNNING)
     }
 
     pub(crate) fn slot_notify_early() -> bool {

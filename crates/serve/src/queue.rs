@@ -23,6 +23,9 @@
 //! the already-admitted remainder (flushing immediately, without waiting
 //! out the window) until the queue is empty — which is what makes graceful
 //! shutdown lossless.
+//! Requests run to completion on their admitting thread are admitted under
+//! the same lock ([`BoundedQueue::admit_inline`]), so shutdown outlives
+//! them too.
 
 use crate::error::ServeError;
 use crate::metrics::{FlushReason, Gauge};
@@ -38,6 +41,9 @@ struct QueueState<T> {
     items: VecDeque<(Instant, T)>,
     closed: bool,
     peak_depth: usize,
+    /// Requests admitted by [`BoundedQueue::admit_inline`] and still
+    /// running on their admitting thread.
+    running: usize,
 }
 
 /// A bounded MPSC queue with admission control and batched draining.
@@ -62,6 +68,7 @@ impl<T> BoundedQueue<T> {
                 items: VecDeque::new(),
                 closed: false,
                 peak_depth: 0,
+                running: 0,
             }),
             not_empty: Condvar::new(),
             capacity,
@@ -97,8 +104,10 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Admits `item`, or rejects it when the queue is full (backpressure)
-    /// or closed (shutdown). Never blocks.
-    pub(crate) fn try_push(&self, item: T) -> Result<(), ServeError> {
+    /// or closed (shutdown). Never blocks. `on_admit` runs under the lock
+    /// once the item is admitted, before the consumer can take it, so
+    /// admission accounting never trails the request's completion.
+    pub(crate) fn try_push(&self, item: T, on_admit: impl FnOnce()) -> Result<(), ServeError> {
         let notify_early = mutation::queue_notify_early();
         if notify_early {
             // Mutation point: notifying before the item is visible is the
@@ -123,12 +132,32 @@ impl<T> BoundedQueue<T> {
         if let Some(gauge) = &self.depth_gauge {
             gauge.set(state.items.len() as u64);
         }
+        on_admit();
         drop(state);
         if !notify_early {
             // One consumer (the scheduler); one wake is enough.
             self.not_empty.notify_one();
         }
         Ok(())
+    }
+
+    /// Admits one request that the caller runs to completion itself
+    /// instead of queueing (it takes no capacity), or rejects it with
+    /// [`ServeError::ShutDown`] once the queue is closed; `on_admit` runs
+    /// under the lock as in [`BoundedQueue::try_push`]. Hold the returned
+    /// guard until the request is answered: while any guard is alive,
+    /// `pop_batch` does not report a closed queue as drained.
+    pub(crate) fn admit_inline(
+        &self,
+        on_admit: impl FnOnce(),
+    ) -> Result<InlineGuard<'_, T>, ServeError> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(ServeError::ShutDown);
+        }
+        state.running += 1;
+        on_admit();
+        Ok(InlineGuard { queue: self })
     }
 
     /// Blocks until at least one item is available, then drains up to
@@ -142,7 +171,8 @@ impl<T> BoundedQueue<T> {
     /// out its window flushes immediately instead of waiting
     /// `window + previous-batch-compute`.
     ///
-    /// Returns `None` only when the queue is closed *and* empty — the
+    /// Returns `None` only when the queue is closed, empty, and no request
+    /// admitted by [`BoundedQueue::admit_inline`] is still running — the
     /// scheduler's signal to exit. When the queue is closed with items
     /// remaining, they are returned immediately (no window wait) with
     /// [`FlushReason::Close`].
@@ -157,7 +187,7 @@ impl<T> BoundedQueue<T> {
             if !state.items.is_empty() {
                 break;
             }
-            if state.closed {
+            if state.closed && (state.running == 0 || mutation::queue_ignore_running()) {
                 return None;
             }
             state = self
@@ -186,19 +216,12 @@ impl<T> BoundedQueue<T> {
                 }
             }
         }
-        let closed = state.closed;
         let n = state.items.len().min(max_batch);
         let batch: Vec<T> = state.items.drain(..n).map(|(_, item)| item).collect();
         if let Some(gauge) = &self.depth_gauge {
             gauge.set(state.items.len() as u64);
         }
-        let reason = if batch.len() >= max_batch {
-            FlushReason::Size
-        } else if closed {
-            FlushReason::Close
-        } else {
-            FlushReason::Deadline
-        };
+        let reason = flush_reason(batch.len(), max_batch, state.closed);
         Some((batch, reason))
     }
 
@@ -211,6 +234,38 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+/// Why a batch of `len` requests flushed: it met the size target, the
+/// queue was closing, or else its window expired (a zero window always
+/// has).
+pub(crate) fn flush_reason(len: usize, max_batch: usize, closed: bool) -> FlushReason {
+    if len >= max_batch {
+        FlushReason::Size
+    } else if closed {
+        FlushReason::Close
+    } else {
+        FlushReason::Deadline
+    }
+}
+
+/// A request admitted by [`BoundedQueue::admit_inline`], running on its
+/// admitting thread; dropping it marks the request finished.
+pub(crate) struct InlineGuard<'a, T> {
+    queue: &'a BoundedQueue<T>,
+}
+
+impl<T> Drop for InlineGuard<'_, T> {
+    fn drop(&mut self) {
+        let mut state = self.queue.lock();
+        state.running -= 1;
+        let drained = state.closed && state.running == 0;
+        drop(state);
+        if drained {
+            // The consumer may be parked on the closed, empty queue.
+            self.queue.not_empty.notify_all();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,9 +274,9 @@ mod tests {
     #[test]
     fn saturation_rejects_with_depth_and_capacity() {
         let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        match q.try_push(3) {
+        q.try_push(1, || {}).unwrap();
+        q.try_push(2, || {}).unwrap();
+        match q.try_push(3, || {}) {
             Err(ServeError::Saturated { depth, capacity }) => {
                 assert_eq!((depth, capacity), (2, 2));
             }
@@ -232,16 +287,16 @@ mod tests {
         // Draining frees capacity again.
         let (batch, _) = q.pop_batch(10, Duration::ZERO).unwrap();
         assert_eq!(batch, vec![1, 2]);
-        q.try_push(4).unwrap();
+        q.try_push(4, || {}).unwrap();
         assert_eq!(q.depth(), 1);
     }
 
     #[test]
     fn zero_window_drains_whatever_is_present() {
         let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.try_push(3).unwrap();
+        q.try_push(1, || {}).unwrap();
+        q.try_push(2, || {}).unwrap();
+        q.try_push(3, || {}).unwrap();
         let (batch, reason) = q.pop_batch(8, Duration::ZERO).unwrap();
         assert_eq!(batch, vec![1, 2, 3]);
         assert_eq!(reason, FlushReason::Deadline);
@@ -251,7 +306,7 @@ mod tests {
     fn size_target_flushes_without_waiting_out_the_window() {
         let q = BoundedQueue::new(8);
         for i in 0..4 {
-            q.try_push(i).unwrap();
+            q.try_push(i, || {}).unwrap();
         }
         let start = Instant::now();
         let (batch, reason) = q.pop_batch(4, Duration::from_secs(5)).unwrap();
@@ -263,12 +318,12 @@ mod tests {
     #[test]
     fn window_collects_late_arrivals() {
         let q = Arc::new(BoundedQueue::new(8));
-        q.try_push(0).unwrap();
+        q.try_push(0, || {}).unwrap();
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(5));
-                q.try_push(1).unwrap();
+                q.try_push(1, || {}).unwrap();
             })
         };
         // A generous window lets the second item join the first batch.
@@ -280,10 +335,10 @@ mod tests {
     #[test]
     fn close_drains_remainder_then_signals_exit() {
         let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        q.try_push(1, || {}).unwrap();
+        q.try_push(2, || {}).unwrap();
         q.close();
-        assert_eq!(q.try_push(3), Err(ServeError::ShutDown));
+        assert_eq!(q.try_push(3, || {}), Err(ServeError::ShutDown));
         // Remainder flushes immediately (no window wait), tagged Close.
         let start = Instant::now();
         let (batch, reason) = q.pop_batch(8, Duration::from_secs(5)).unwrap();
@@ -313,7 +368,7 @@ mod tests {
         // from when pop_batch started waiting. It must be measured from
         // the oldest item's admission.
         let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
+        q.try_push(1, || {}).unwrap();
         // Simulate the scheduler being busy past the whole window.
         std::thread::sleep(Duration::from_millis(250));
         let start = Instant::now();
@@ -330,7 +385,7 @@ mod tests {
     #[test]
     fn partially_elapsed_window_only_waits_the_remainder() {
         let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
+        q.try_push(1, || {}).unwrap();
         std::thread::sleep(Duration::from_millis(200));
         let start = Instant::now();
         // 300 ms window, ~200 ms already burned while "computing": the
@@ -345,10 +400,37 @@ mod tests {
     }
 
     #[test]
+    fn inline_admission_takes_no_capacity_and_is_refused_once_closed() {
+        let q = BoundedQueue::<u32>::new(1);
+        q.try_push(1, || {}).unwrap();
+        let mut admitted = false;
+        let running = q.admit_inline(|| admitted = true).unwrap();
+        assert!(admitted, "a full queue still admits a request run inline");
+        drop(running);
+        q.close();
+        assert!(matches!(q.admit_inline(|| {}), Err(ServeError::ShutDown)));
+    }
+
+    #[test]
+    fn closed_queue_is_not_drained_while_an_inline_request_runs() {
+        let q = Arc::new(BoundedQueue::<u32>::new(4));
+        let running = q.admit_inline(|| {}).unwrap();
+        q.close();
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_batch(4, Duration::ZERO))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!consumer.is_finished(), "drained under a running request");
+        drop(running);
+        assert!(consumer.join().unwrap().is_none());
+    }
+
+    #[test]
     fn arrival_order_is_preserved_across_batches() {
         let q = BoundedQueue::new(64);
         for i in 0..10 {
-            q.try_push(i).unwrap();
+            q.try_push(i, || {}).unwrap();
         }
         let (a, _) = q.pop_batch(4, Duration::ZERO).unwrap();
         let (b, _) = q.pop_batch(4, Duration::ZERO).unwrap();

@@ -13,13 +13,22 @@
 //!    here, synchronously, and can never poison a batch. If the bounded
 //!    queue is full the request is rejected with
 //!    [`ServeError::Saturated`] — backpressure, not unbounded buffering.
-//! 2. **Batching** — the scheduler blocks for the first queued request,
-//!    then drains up to `max_batch` requests, waiting at most
+//! 2. **Run to completion, or batching** — with a zero `batch_window`, a
+//!    request for a product-state artifact
+//!    ([`CompiledModel::scores_product_states`]) with no shadow installed
+//!    is evaluated right there, on the admitting thread (the in-process
+//!    caller or a wire shard), and answered before `submit` returns. A
+//!    zero window means "do not wait for company", and a product artifact
+//!    scores every sample on its own anyway: the trip to the scheduler
+//!    and back would add two thread hand-offs and no batching gain. Every
+//!    other request is queued: the scheduler blocks for the first queued
+//!    request, then drains up to `max_batch` requests, waiting at most
 //!    `batch_window` for the batch to fill (a zero window drains whatever
 //!    has accumulated — natural batching with no added latency).
-//! 3. **Evaluation** — the batch is grouped by model entry (requests keep
-//!    the exact version that admitted them, even across a hot-swap) and
-//!    each group fans out through
+//! 3. **Evaluation** — one function serves both paths (a request run to
+//!    completion is a flush of one). The batch is grouped by model entry
+//!    (requests keep the exact version that admitted them, even across a
+//!    hot-swap) and each group goes through
 //!    [`CompiledModel::predict_many_from_angles`] on the shared executor.
 //!    Separable artifacts under a deterministic estimator score inline
 //!    through the product-state kernel, a few nanoseconds per qubit and
@@ -31,6 +40,12 @@
 //!    allocations.
 //! 4. **Reply** — each request's one-shot slot is fulfilled; blocked
 //!    callers wake with a [`ServeResponse`].
+//!
+//! Shutdown closes the queue to both paths at once: admission on either
+//! path takes the queue lock, and the scheduler exits only when the
+//! queue is closed, empty and no request is still running to completion,
+//! so every admitted request is answered and counted before
+//! [`ServeRuntime::shutdown`] returns.
 //!
 //! ## Threading
 //!
@@ -53,11 +68,13 @@
 //! dynamically batched server — depend on how requests happened to batch.
 
 use crate::error::ServeError;
-use crate::metrics::{self, MetricsRegistry, MetricsSnapshot, ModelMetrics, RuntimeStats};
+use crate::metrics::{
+    self, FlushReason, MetricsRegistry, MetricsSnapshot, ModelMetrics, RuntimeStats,
+};
 use crate::mutation;
 use crate::quclassi_sync::atomic::{AtomicU64, Ordering};
 use crate::quclassi_sync::{Arc, Condvar, Mutex, RwLock};
-use crate::queue::BoundedQueue;
+use crate::queue::{flush_reason, BoundedQueue};
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::shadow::{ShadowReport, ShadowState};
 use crate::trace::{TraceRing, TraceSpan, TraceState, DEFAULT_TRACE_CAPACITY};
@@ -74,7 +91,8 @@ pub struct ServeConfig {
     /// How long the scheduler waits (from the first queued request) for a
     /// batch to fill before flushing what it has. `Duration::ZERO` flushes
     /// whatever has accumulated without waiting — maximum-throughput
-    /// natural batching.
+    /// natural batching — and runs requests for product-state artifacts to
+    /// completion on the admitting thread (see the module docs).
     pub batch_window: Duration,
     /// Bounded queue capacity; admissions beyond it are rejected with
     /// [`ServeError::Saturated`].
@@ -184,12 +202,13 @@ pub struct ServeResponse {
     pub prediction: Prediction,
 }
 
-/// A callback invoked (from the scheduler thread) the moment a submitted
-/// request's response is ready. The event-loop wire frontend registers its
-/// shard waker here, so a completion immediately unblocks the shard's
-/// `epoll_wait` instead of requiring a blocked thread per in-flight
-/// request. Must be cheap and non-blocking — it runs on the scheduler's
-/// hot path.
+/// A callback invoked the moment a submitted request's response is ready:
+/// from the scheduler thread, or from the admitting thread for a request
+/// run to completion (before `submit_with_notifier` returns). The
+/// event-loop wire frontend registers its shard waker here, so a
+/// completion immediately unblocks the shard's `epoll_wait` instead of
+/// requiring a blocked thread per in-flight request. Must be cheap and
+/// non-blocking — it runs on the serving hot path.
 pub type CompletionNotifier = Arc<dyn Fn() + Send + Sync>;
 
 /// One-shot rendezvous between a blocked caller and the scheduler.
@@ -280,7 +299,7 @@ pub struct PendingPrediction {
 }
 
 impl PendingPrediction {
-    /// Blocks until the scheduler answers this request.
+    /// Blocks until this request is answered.
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
         self.slot.wait()
     }
@@ -335,7 +354,8 @@ pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) started: Instant,
     /// The installed shadow candidate, if any (see [`crate::shadow`]). The
-    /// scheduler reads it once per flush; install/clear replace the whole
+    /// scheduler reads it once per flush, and admission to decide whether
+    /// a request may run to completion; install/clear replace the whole
     /// `Arc`, so a cycle boundary never tears a report.
     pub(crate) shadow: RwLock<Option<Arc<ShadowState>>>,
 }
@@ -524,7 +544,9 @@ impl Client {
 
     /// Submits one request without waiting. Resolution, validation and
     /// encoding run synchronously here (errors surface immediately);
-    /// evaluation happens on the scheduler.
+    /// evaluation happens on the scheduler — or here too, for a request
+    /// run to completion (see the module docs), in which case the returned
+    /// pending is already answered.
     pub fn submit(&self, model: &str, x: &[f64]) -> Result<PendingPrediction, ServeError> {
         self.submit_inner(model, x, None, None, false)
     }
@@ -547,7 +569,9 @@ impl Client {
     /// request with the caller-derived trace id (or assigns one when the
     /// frame carried no `"id"`) and defers trace-ring recording to
     /// [`Client::finish_wire_write`], so the recorded timeline includes
-    /// the socket write stage.
+    /// the socket write stage. A request run to completion is answered
+    /// before this returns and does **not** invoke `notifier`: the
+    /// frontend collects it right away instead of waking itself.
     pub(crate) fn submit_wire(
         &self,
         model: &str,
@@ -590,6 +614,10 @@ impl Client {
             trace_id.unwrap_or_else(|| self.shared.next_trace_id.fetch_add(1, Ordering::Relaxed));
         let trace = TraceState::new(trace_id, received, wire_managed);
         trace.encode_ns.store(encode_ns, Ordering::Relaxed);
+        let inline = self.shared.runs_to_completion(&entry);
+        // A wire frontend collects an inline answer as `submit_wire`
+        // returns; waking its own shard for it would be a wasted round trip.
+        let notifier = notifier.filter(|_| !(inline && wire_managed));
         let slot = Arc::new(ResponseSlot::new(notifier, trace));
         let request = Request {
             entry: Arc::clone(&entry),
@@ -597,13 +625,26 @@ impl Client {
             slot: Arc::clone(&slot),
             admitted: Instant::now(),
         };
-        match self.shared.queue.try_push(request) {
-            Ok(()) => {
-                self.shared.stats.admitted.inc();
-                self.shared.stats.in_flight.add(1);
-                entry.stats().admitted.inc();
-                Ok(PendingPrediction { slot })
-            }
+        // Counted under the queue lock, before the request can be answered.
+        let count_admitted = || {
+            self.shared.stats.admitted.inc();
+            self.shared.stats.in_flight.add(1);
+            entry.stats().admitted.inc();
+        };
+        let admitted = if inline {
+            let running = self.shared.queue.admit_inline(count_admitted);
+            running.map(|running| {
+                let group = vec![(Arc::clone(&entry), vec![request])];
+                let reason = flush_reason(1, self.shared.config.max_batch, false);
+                // Product artifacts are deterministic: the seed is unused.
+                serve_flush(&self.shared, group, reason, 0, 0, None);
+                drop(running);
+            })
+        } else {
+            self.shared.queue.try_push(request, count_admitted)
+        };
+        match admitted {
+            Ok(()) => Ok(PendingPrediction { slot }),
             Err(e) => {
                 self.shared.stats.rejected.inc();
                 entry.stats().rejected.inc();
@@ -687,6 +728,21 @@ fn snapshot(shared: &Shared) -> MetricsSnapshot {
 }
 
 impl Shared {
+    /// Whether a request for `entry` runs to completion on its admitting
+    /// thread: a zero batch window, a product-state artifact, and no
+    /// shadow mirroring this model (mirroring and its p99 gate stay on the
+    /// scheduler).
+    fn runs_to_completion(&self, entry: &ModelEntry) -> bool {
+        self.config.batch_window.is_zero()
+            && entry.model().scores_product_states()
+            && self
+                .shadow
+                .read()
+                .unwrap_or_else(|e| e.into_inner())
+                .as_ref()
+                .is_none_or(|shadow| shadow.model() != entry.name())
+    }
+
     /// Deploys through the registry and counts the promotion.
     pub(crate) fn promote(&self, name: &str, model: CompiledModel) -> Result<u64, ServeError> {
         let version = self.registry.deploy(name, model)?;
@@ -791,15 +847,14 @@ impl Shared {
     }
 }
 
-/// The scheduler: drains micro-batches, groups them by model entry, fans
-/// each group out through the shared executor, and fulfils the slots.
+/// The scheduler: drains micro-batches, stamps each request's queue wait,
+/// groups the batch by model entry and serves it.
 fn scheduler_loop(shared: &Shared) {
     let mut flush_index: u64 = 0;
     while let Some((requests, reason)) = shared
         .queue
         .pop_batch(shared.config.max_batch, shared.config.batch_window)
     {
-        shared.stats.record_flush(requests.len(), reason);
         let assemble_started = Instant::now();
         // Group by registry entry, preserving arrival order within each
         // group. Requests pin the entry that admitted them, so a batch
@@ -810,7 +865,6 @@ fn scheduler_loop(shared: &Shared) {
             let queue_wait_ns = assemble_started
                 .saturating_duration_since(request.admitted)
                 .as_nanos() as u64;
-            shared.stats.stage_queue_wait.record_ns(queue_wait_ns);
             request
                 .slot
                 .trace
@@ -843,74 +897,99 @@ fn scheduler_loop(shared: &Shared) {
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
-        for (group_index, (entry, mut members)) in groups.into_iter().enumerate() {
-            let angles: Vec<Vec<f64>> = members
-                .iter_mut()
-                .map(|r| std::mem::take(&mut r.angles))
-                .collect();
-            let seed = BatchExecutor::job_seed(flush_seed, group_index as u64);
-            // Decide mirroring before the live evaluation (the angles are
-            // consumed by it), but run the candidate only *after* every
-            // user slot is fulfilled: live responses, seeds and ordering
-            // are untouched by the presence of a shadow.
-            let mirror = shadow
-                .as_ref()
-                .filter(|s| s.model() == entry.name() && s.should_mirror())
-                .map(Arc::clone);
-            let mirror_angles = mirror.as_ref().map(|_| angles.clone());
-            let eval_started = Instant::now();
-            match entry
-                .model()
-                .predict_many_from_angles(angles, &shared.executor, seed)
-            {
-                Ok(predictions) => {
-                    let live_elapsed = eval_started.elapsed();
-                    let compute_ns = live_elapsed.as_nanos() as u64;
-                    let batch_size = members.len() as u64;
-                    let live_labels: Option<Vec<usize>> = mirror
-                        .as_ref()
-                        .map(|_| predictions.iter().map(|p| p.label).collect());
-                    for (request, prediction) in members.into_iter().zip(predictions) {
-                        let latency_ns = request.admitted.elapsed().as_nanos() as u64;
-                        shared.stats.latency.record_ns(latency_ns);
-                        entry.stats().latency.record_ns(latency_ns);
-                        shared.stats.completed.inc();
-                        entry.stats().completed.inc();
-                        finish_request(shared, &request, assemble_ns, compute_ns, batch_size);
-                        request.slot.fulfill(Ok(ServeResponse {
-                            model: entry.name().to_string(),
-                            version: entry.version(),
-                            prediction,
-                        }));
-                    }
-                    if let (Some(state), Some(angles), Some(labels)) =
-                        (mirror, mirror_angles, live_labels)
-                    {
-                        shadow_evaluate(shared, &state, angles, &labels, live_elapsed, seed);
-                    }
+        serve_flush(
+            shared,
+            groups,
+            reason,
+            assemble_ns,
+            flush_seed,
+            shadow.as_ref(),
+        );
+    }
+}
+
+/// Serves one flush on the calling thread: evaluates each model group,
+/// accounts and fulfils every request, then mirrors the group onto
+/// `shadow` if it drew a mirror. The scheduler calls it for every batch it
+/// pops; a request run to completion is a flush of one on its admitting
+/// thread, with no queue wait, no assembly and no shadow.
+fn serve_flush(
+    shared: &Shared,
+    groups: Vec<(Arc<ModelEntry>, Vec<Request>)>,
+    reason: FlushReason,
+    assemble_ns: u64,
+    flush_seed: u64,
+    shadow: Option<&Arc<ShadowState>>,
+) {
+    let batch_len = groups.iter().map(|(_, members)| members.len()).sum();
+    shared.stats.record_flush(batch_len, reason);
+    for (group_index, (entry, mut members)) in groups.into_iter().enumerate() {
+        let angles: Vec<Vec<f64>> = members
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.angles))
+            .collect();
+        let seed = BatchExecutor::job_seed(flush_seed, group_index as u64);
+        // Decide mirroring before the live evaluation (the angles are
+        // consumed by it), but run the candidate only *after* every user
+        // slot is fulfilled: live responses, seeds and ordering are
+        // untouched by the presence of a shadow.
+        let mirror = shadow
+            .filter(|s| s.model() == entry.name() && s.should_mirror())
+            .map(Arc::clone);
+        let mirror_angles = mirror.as_ref().map(|_| angles.clone());
+        let eval_started = Instant::now();
+        let outcome = entry
+            .model()
+            .predict_many_from_angles(angles, &shared.executor, seed);
+        let live_elapsed = eval_started.elapsed();
+        let compute_ns = live_elapsed.as_nanos() as u64;
+        let batch_size = members.len() as u64;
+        // A failed live evaluation fails every member (each still gets a
+        // complete trace lifecycle) and drops the mirrored copy: a
+        // candidate is never judged on traffic the live model could not
+        // serve either.
+        let (predictions, error) = match outcome {
+            Ok(predictions) => (predictions, None),
+            Err(e) => (Vec::new(), Some(ServeError::Model(e))),
+        };
+        let live_labels: Option<Vec<usize>> = mirror
+            .as_ref()
+            .filter(|_| error.is_none())
+            .map(|_| predictions.iter().map(|p| p.label).collect());
+        let mut predictions = predictions.into_iter();
+        for request in members {
+            let result = match predictions.next() {
+                Some(prediction) => {
+                    let latency_ns = request.admitted.elapsed().as_nanos() as u64;
+                    shared.stats.latency.record_ns(latency_ns);
+                    entry.stats().latency.record_ns(latency_ns);
+                    shared.stats.completed.inc();
+                    entry.stats().completed.inc();
+                    Ok(ServeResponse {
+                        model: entry.name().to_string(),
+                        version: entry.version(),
+                        prediction,
+                    })
                 }
-                Err(e) => {
-                    // The live evaluation itself failed; the mirrored copy
-                    // is dropped — a candidate is never judged on traffic
-                    // the live model could not serve either. Failed
-                    // requests still get a complete trace lifecycle.
-                    let compute_ns = eval_started.elapsed().as_nanos() as u64;
-                    let batch_size = members.len() as u64;
-                    for request in members {
-                        shared.stats.failed.inc();
-                        entry.stats().failed.inc();
-                        finish_request(shared, &request, assemble_ns, compute_ns, batch_size);
-                        request.slot.fulfill(Err(ServeError::Model(e.clone())));
-                    }
+                None => {
+                    shared.stats.failed.inc();
+                    entry.stats().failed.inc();
+                    Err(error.clone().expect("one prediction per member on success"))
                 }
-            }
+            };
+            finish_request(shared, &request, assemble_ns, compute_ns, batch_size);
+            request.slot.fulfill(result);
+        }
+        if let (Some(state), Some(angles), Some(labels)) = (mirror, mirror_angles, live_labels) {
+            shadow_evaluate(shared, &state, angles, &labels, live_elapsed, seed);
         }
     }
 }
 
-/// Final per-request stage bookkeeping on the scheduler, just before
-/// fulfilment: stamps the assemble/compute stages and batch size, records
-/// the stage histograms, releases the in-flight gauge, and — for
+/// Final per-request stage bookkeeping, just before fulfilment: stamps the
+/// assemble/compute stages and batch size, records the stage histograms
+/// (queue wait as stamped at scheduler pickup, 0 for a request run to
+/// completion), releases the in-flight gauge, and — for
 /// in-process requests, which have no write stage — records the completed
 /// span into the trace ring. Wire-managed requests defer recording to
 /// [`Client::finish_wire_write`] so the span includes the socket drain.
@@ -921,9 +1000,11 @@ fn finish_request(
     compute_ns: u64,
     batch_size: u64,
 ) {
+    let trace = &request.slot.trace;
+    let queue_wait_ns = trace.queue_wait_ns.load(Ordering::Relaxed);
+    shared.stats.stage_queue_wait.record_ns(queue_wait_ns);
     shared.stats.stage_assemble.record_ns(assemble_ns);
     shared.stats.stage_compute.record_ns(compute_ns);
-    let trace = &request.slot.trace;
     trace.assemble_ns.store(assemble_ns, Ordering::Relaxed);
     trace.compute_ns.store(compute_ns, Ordering::Relaxed);
     trace.batch_size.store(batch_size, Ordering::Relaxed);
@@ -937,8 +1018,9 @@ fn finish_request(
 }
 
 /// Runs one mirrored group on the shadow candidate and folds the outcome
-/// into its report. Runs on the scheduler thread, strictly after the
-/// group's user slots were fulfilled from the live model.
+/// into its report. Runs on the scheduler thread (shadowed models never
+/// run to completion), strictly after the group's user slots were
+/// fulfilled from the live model.
 fn shadow_evaluate(
     shared: &Shared,
     state: &ShadowState,
@@ -1162,6 +1244,35 @@ mod tests {
         assert_eq!(m.models.len(), 1);
         assert_eq!(m.models[0].stats.completed, 8);
         assert_eq!(m.models[0].stats.latency.count(), 8);
+    }
+
+    #[test]
+    fn wire_submissions_answered_inline_do_not_fire_the_notifier() {
+        use std::sync::atomic::AtomicUsize;
+        let fired = Arc::new(AtomicUsize::new(0));
+        let notifier: CompletionNotifier = {
+            let fired = Arc::clone(&fired);
+            Arc::new(move || {
+                fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            })
+        };
+        for (window, inline) in [(Duration::ZERO, true), (Duration::from_secs(5), false)] {
+            let rt = runtime(ServeConfig {
+                batch_window: window,
+                ..Default::default()
+            });
+            rt.deploy("m", compiled(1)).unwrap();
+            let before = fired.load(std::sync::atomic::Ordering::Relaxed);
+            let pending = rt
+                .client()
+                .submit_wire("m", &[0.3; 4], Some(Arc::clone(&notifier)), Some(7))
+                .unwrap();
+            assert_eq!(pending.is_ready(), inline);
+            let metrics = rt.shutdown();
+            assert_eq!(metrics.completed, 1);
+            let notified = fired.load(std::sync::atomic::Ordering::Relaxed) - before;
+            assert_eq!(notified, usize::from(!inline), "window {window:?}");
+        }
     }
 
     #[test]

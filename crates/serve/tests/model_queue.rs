@@ -1,5 +1,6 @@
 //! Model checks for the `BoundedQueue` push / batched-pop / close-drain
-//! protocol (mutex + condvar, notify after unlock).
+//! protocol (mutex + condvar, notify after unlock), including requests
+//! admitted to run to completion on their own thread.
 //!
 //! Run with `RUSTFLAGS="--cfg quclassi_model" cargo test -p quclassi-serve
 //! --test model_queue`. Compiles to nothing otherwise.
@@ -10,6 +11,7 @@
 
 #![cfg(quclassi_model)]
 
+use interleave::sync::atomic::{AtomicBool, Ordering};
 use interleave::thread;
 use quclassi_serve::model_support::{check_protocol, mutations, QueueProbe};
 use std::sync::Arc;
@@ -79,4 +81,45 @@ fn mutation_notify_before_publish_is_caught() {
         q.push(1).unwrap();
         assert_eq!(consumer.join().unwrap(), vec![1]);
     });
+}
+
+/// Run to completion racing close: once the consumer sees the closed
+/// queue as drained (the scheduler's exit, after which shutdown returns),
+/// a request admitted to run on its own thread has finished, and a
+/// refused one never ran — so `admitted == completed` at that point.
+fn inline_request_races_close() {
+    let q = Arc::new(QueueProbe::new(4));
+    let finished = Arc::new(AtomicBool::new(false));
+    let runner = {
+        let (q, finished) = (Arc::clone(&q), Arc::clone(&finished));
+        thread::spawn(move || {
+            q.run_inline(|| finished.store(true, Ordering::Relaxed))
+                .is_ok()
+        })
+    };
+    q.close();
+    while q.pop_batch(1).is_some() {}
+    let finished_at_drain = finished.load(Ordering::Relaxed);
+    let admitted = runner.join().unwrap();
+    assert_eq!(
+        admitted, finished_at_drain,
+        "the consumer drained while an admitted request was still running"
+    );
+}
+
+#[test]
+fn drain_waits_for_requests_running_to_completion() {
+    check_protocol(&[], inline_request_races_close);
+}
+
+/// Mutation proof: a drain that ignores running requests lets the
+/// scheduler — and shutdown — return while an admitted request is still
+/// being evaluated on its caller's thread.
+#[test]
+#[should_panic(expected = "interleave: model check failed")]
+fn mutation_drain_ignoring_running_requests_is_caught() {
+    check_protocol(
+        &[mutations::QUEUE_IGNORE_RUNNING],
+        inline_request_races_close,
+    );
 }
