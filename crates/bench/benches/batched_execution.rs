@@ -1,22 +1,25 @@
-//! The execution-engine benchmark: gate-fused, batch-dispatched SWAP-test
-//! evaluation against the unfused sequential path it replaced.
+//! The execution-engine benchmark: an exact SWAP-test training step
+//! through `FidelityEstimator::estimate_many` against the SWAP-test
+//! circuit it answers for.
 //!
 //! The workload is the training hot path: one parameter-shift step's worth
-//! of fidelity evaluations (`2·P + 1` parameter vectors) of the QuClassi
-//! SWAP-test circuit. The headline size is the 8-feature configuration —
-//! two 4-qubit registers plus the ancilla — flanked by the 4-feature Iris
-//! and 16-feature MNIST shapes.
+//! of fidelity evaluations (`2·P + 1` parameter vectors) of a QC-SDE model
+//! under `FidelityEstimator::swap_test(Executor::ideal())`, at the
+//! 4-feature Iris, 8-feature and 16-feature MNIST shapes. A noiseless SWAP
+//! test measures `P(0) = ½ + ½·F` exactly, so `estimate_many` computes `F`
+//! with the statevector kernels; the oracle runs the `2·m + 1`-qubit
+//! circuit gate by gate for every parameter vector and reads
+//! `F = 2·P(0) − 1`. Both must agree within 1e-12.
 //!
-//! Besides the criterion timings, the binary records the measured speedups
-//! to `BENCH_batched_execution.json` at the workspace root so the perf
-//! trajectory is tracked across PRs. `--test` runs everything once, untimed
-//! (JSON reports a single smoke repetition).
+//! Besides the criterion timings, the binary records the measured times to
+//! `BENCH_batched_execution.json` at the workspace root. `--test` runs
+//! everything once, untimed (JSON reports a single smoke repetition).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use quclassi::encoding::{DataEncoder, EncodingStrategy};
 use quclassi::gradient::shifted_parameter_sets;
 use quclassi::layers::LayerStack;
-use quclassi::swap_test::{build_swap_test_circuit, fidelity_from_p0, FidelityEstimator};
+use quclassi::swap_test::{build_swap_test_circuit, FidelityEstimator};
 use quclassi_bench::bench_json;
 use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::executor::Executor;
@@ -35,7 +38,7 @@ struct Workload {
 
 fn workload(dims: usize) -> Workload {
     let encoder = DataEncoder::new(EncodingStrategy::DualAngle, dims).unwrap();
-    let stack = LayerStack::qc_s(encoder.num_qubits()).unwrap();
+    let stack = LayerStack::qc_sde(encoder.num_qubits()).unwrap();
     let x: Vec<f64> = (0..dims)
         .map(|i| (i as f64 + 1.0) / (dims as f64 + 1.0))
         .collect();
@@ -54,58 +57,59 @@ fn workload(dims: usize) -> Workload {
     }
 }
 
-/// The pre-fusion hot path: rebuild the SWAP-test circuit and walk it
-/// gate-by-gate for every single evaluation, exactly as
-/// `FidelityEstimator::estimate` must when called in a loop.
-fn eval_unfused_sequential(w: &Workload) -> f64 {
+/// The oracle: the SWAP-test circuit, built once and run gate by gate for
+/// every parameter vector, `F = 2·P(0) − 1` unclamped.
+fn circuit_oracle(w: &Workload) -> Vec<f64> {
     let executor = Executor::ideal();
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut acc = 0.0;
-    for params in &w.sets {
-        let (circuit, layout) = build_swap_test_circuit(&w.stack, &w.encoder, &w.x).unwrap();
-        let p1 = executor
-            .probability_of_one(&circuit, params, layout.ancilla, &mut rng)
-            .unwrap();
-        acc += fidelity_from_p0(1.0 - p1);
-    }
-    acc
+    let mut unused = StdRng::seed_from_u64(0);
+    let (circuit, layout) = build_swap_test_circuit(&w.stack, &w.encoder, &w.x).unwrap();
+    w.sets
+        .iter()
+        .map(|params| {
+            let p1 = executor
+                .probability_of_one(&circuit, params, layout.ancilla, &mut unused)
+                .unwrap();
+            1.0 - 2.0 * p1
+        })
+        .collect()
 }
 
-/// The engine path: compile once, evaluate every parameter set through the
-/// fused program via the batch executor.
-fn eval_fused_batched(w: &Workload, batch: &BatchExecutor) -> f64 {
+/// The estimator path: every parameter set through `estimate_many`.
+fn estimate_many(w: &Workload, batch: &BatchExecutor) -> Vec<f64> {
     FidelityEstimator::swap_test(Executor::ideal())
         .estimate_many(&w.stack, &w.sets, &w.encoder, &w.x, batch, 0)
         .unwrap()
-        .into_iter()
-        .sum()
 }
 
 fn bench_execution_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_execution");
     group.sample_size(12);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     for dims in [4usize, 8, 16] {
         let w = workload(dims);
-        group.bench_with_input(BenchmarkId::new("unfused_sequential", dims), &w, |b, w| {
-            b.iter(|| black_box(eval_unfused_sequential(w)))
+        group.bench_with_input(BenchmarkId::new("circuit_oracle", dims), &w, |b, w| {
+            b.iter(|| black_box(circuit_oracle(w)))
         });
         let single = BatchExecutor::single_threaded(0);
-        group.bench_with_input(BenchmarkId::new("fused", dims), &w, |b, w| {
-            b.iter(|| black_box(eval_fused_batched(w, &single)))
+        group.bench_with_input(BenchmarkId::new("estimate_many", dims), &w, |b, w| {
+            b.iter(|| black_box(estimate_many(w, &single)))
         });
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let pooled = BatchExecutor::new(threads, 0);
-        group.bench_with_input(BenchmarkId::new("fused_batched", dims), &w, |b, w| {
-            b.iter(|| black_box(eval_fused_batched(w, &pooled)))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("estimate_many_pooled", dims),
+            &w,
+            |b, w| b.iter(|| black_box(estimate_many(w, &pooled))),
+        );
     }
     group.finish();
 }
 
 fn emit_bench_json(smoke: bool) {
-    let reps = if smoke { 1 } else { 30 };
+    // The 17-qubit oracle costs about a second per step: fewer reps keep
+    // the full run short, and its spread is small at that scale.
+    let (reps, oracle_reps) = if smoke { (1, 1) } else { (30, 5) };
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -114,28 +118,34 @@ fn emit_bench_json(smoke: bool) {
     let mut entries = Vec::new();
     for dims in [4usize, 8, 16] {
         let w = workload(dims);
-        // Consistency guard: all three paths must report the same physics.
-        let a = eval_unfused_sequential(&w);
-        let b = eval_fused_batched(&w, &single);
-        assert!((a - b).abs() < 1e-9, "paths disagree: {a} vs {b}");
-        let unfused = bench_json::median_ns(reps, || eval_unfused_sequential(&w));
-        let fused = bench_json::median_ns(reps, || eval_fused_batched(&w, &single));
-        let batched = bench_json::median_ns(reps, || eval_fused_batched(&w, &pooled));
+        // Consistency guard: the estimator reports the circuit's physics.
+        let oracle = circuit_oracle(&w);
+        let estimates = estimate_many(&w, &single);
+        let max_deviation = oracle
+            .iter()
+            .zip(&estimates)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(max_deviation <= 1e-12, "paths disagree by {max_deviation}");
+        let oracle_ns = bench_json::median_ns(oracle_reps, || circuit_oracle(&w));
+        let single_ns = bench_json::median_ns(reps, || estimate_many(&w, &single));
+        let pooled_ns = bench_json::median_ns(reps, || estimate_many(&w, &pooled));
         entries.push(format!(
             concat!(
-                "    {{\"workload\": \"swap_test_{}_features\", \"total_qubits\": {}, ",
-                "\"evaluations\": {}, \"unfused_sequential_ns\": {:.0}, \"fused_ns\": {:.0}, ",
-                "\"fused_batched_ns\": {:.0}, \"speedup_fused\": {:.2}, ",
-                "\"speedup_batched\": {:.2}, \"threads\": {}}}"
+                "    {{\"workload\": \"qc_sde_swap_test_{}_features\", \"total_qubits\": {}, ",
+                "\"evaluations\": {}, \"circuit_oracle_ns\": {:.0}, \"estimate_many_ns\": {:.0}, ",
+                "\"estimate_many_pooled_ns\": {:.0}, \"speedup\": {:.2}, ",
+                "\"speedup_pooled\": {:.2}, \"max_deviation\": {:.1e}, \"threads\": {}}}"
             ),
             dims,
             w.total_qubits,
             w.sets.len(),
-            unfused,
-            fused,
-            batched,
-            unfused / fused,
-            unfused / batched,
+            oracle_ns,
+            single_ns,
+            pooled_ns,
+            oracle_ns / single_ns,
+            oracle_ns / pooled_ns,
+            max_deviation,
             threads
         ));
     }
@@ -144,6 +154,7 @@ fn emit_bench_json(smoke: bool) {
         smoke,
         &[
             ("reps", reps.to_string()),
+            ("oracle_reps", oracle_reps.to_string()),
             ("workloads", bench_json::array(&entries)),
         ],
     );

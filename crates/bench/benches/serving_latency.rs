@@ -1,8 +1,11 @@
 //! The serving-runtime benchmark: a closed-loop load generator driving
 //! `quclassi-serve` across an offered-load sweep, comparing **per-request
 //! serving** (`max_batch = 1` — what a naive server does) against
-//! **dynamic micro-batching** (the scheduler drains whatever accumulated
-//! while the previous batch was being computed).
+//! **dynamic micro-batching** (`max_batch = 64`: the scheduler waits up to
+//! the batch window after the oldest queued request for a batch to fill).
+//! The sweep serves QC-SDE analytic models: an entangled artifact always
+//! reaches the scheduler, where a separable one would be answered on the
+//! admitting thread and never batch.
 //!
 //! Each cell of the sweep runs N closed-loop producer threads (every
 //! producer fires its next request the moment the previous one is
@@ -51,9 +54,9 @@ struct Workload {
     pool: Vec<Vec<f64>>,
 }
 
-fn workload(name: &'static str, dims: usize, classes: usize) -> Workload {
+fn workload(name: &'static str, config: QuClassiConfig) -> Workload {
+    let dims = config.data_dim;
     let mut rng = StdRng::seed_from_u64(dims as u64);
-    let config = QuClassiConfig::qc_s(dims, classes);
     let total_qubits = config.total_qubits();
     let model = QuClassiModel::with_random_parameters(config, &mut rng).unwrap();
     let pool: Vec<Vec<f64>> = (0..16)
@@ -91,6 +94,18 @@ fn serve_config(micro_batched: bool) -> ServeConfig {
         queue_capacity: 4096,
         base_seed: 0,
         ..ServeConfig::default()
+    }
+}
+
+/// The batch window of the per-request vs micro-batched sweep: the
+/// runtime's default.
+const SWEEP_WINDOW: Duration = Duration::from_micros(200);
+
+/// The sweep's runtime config: `serve_config` with [`SWEEP_WINDOW`].
+fn sweep_config(micro_batched: bool) -> ServeConfig {
+    ServeConfig {
+        batch_window: SWEEP_WINDOW,
+        ..serve_config(micro_batched)
     }
 }
 
@@ -183,7 +198,12 @@ fn measure_cell(
 ) -> CellResult {
     let mut best: Option<CellResult> = None;
     for _ in 0..reps {
-        let r = run_cell(w, micro_batched, producers, requests_per_producer);
+        let r = run_cell_with(
+            sweep_config(micro_batched),
+            w,
+            producers,
+            requests_per_producer,
+        );
         best = match best {
             Some(b) if b.throughput_rps >= r.throughput_rps => Some(b),
             _ => Some(r),
@@ -193,7 +213,7 @@ fn measure_cell(
 }
 
 /// Serving must not change answers: responses through the runtime are
-/// bit-identical to direct compiled evaluation, for both serving modes.
+/// bit-identical to direct compiled evaluation, for both sweep modes.
 fn assert_serving_consistency(w: &Workload) {
     let direct_artifact = artifact(w);
     let mut rng = StdRng::seed_from_u64(0);
@@ -204,7 +224,7 @@ fn assert_serving_consistency(w: &Workload) {
         .collect();
     for micro_batched in [false, true] {
         let runtime = ServeRuntime::start(
-            serve_config(micro_batched),
+            sweep_config(micro_batched),
             BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS"),
         )
         .unwrap();
@@ -225,7 +245,7 @@ fn bench_serving_roundtrip(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_latency");
     group.sample_size(10);
     for (dims, classes) in [(4usize, 3usize), (16, 2)] {
-        let w = workload("roundtrip", dims, classes);
+        let w = workload("roundtrip", QuClassiConfig::qc_s(dims, classes));
         let runtime = ServeRuntime::start(
             serve_config(true),
             BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS"),
@@ -275,7 +295,7 @@ fn emit_bench_json(smoke: bool) {
         ("iris_4_features", 4usize, 3usize),
         ("mnist_16_features", 16, 2),
     ] {
-        let mut w = workload("latency", dims, classes);
+        let mut w = workload("latency", QuClassiConfig::qc_sde(dims, classes));
         w.name = "latency";
         assert_serving_consistency(&Workload {
             name: "consistency",
@@ -288,8 +308,14 @@ fn emit_bench_json(smoke: bool) {
         for &producers in producer_sweep {
             // Warm-up pass so thread spawn and first-touch costs are not
             // attributed to either mode.
-            run_cell(&w, true, producers, requests_per_producer / 5 + 1);
-            run_cell(&w, false, producers, requests_per_producer / 5 + 1);
+            for micro_batched in [true, false] {
+                run_cell_with(
+                    sweep_config(micro_batched),
+                    &w,
+                    producers,
+                    requests_per_producer / 5 + 1,
+                );
+            }
             let baseline = measure_cell(&w, false, producers, requests_per_producer, reps);
             let batched = measure_cell(&w, true, producers, requests_per_producer, reps);
             max_load_gain = batched.throughput_rps / baseline.throughput_rps;
@@ -299,12 +325,14 @@ fn emit_bench_json(smoke: bool) {
         }
         workload_entries.push(format!(
             concat!(
-                "    {{\"workload\": \"{}\", \"total_qubits\": {}, \"method\": \"analytic\", ",
+                "    {{\"workload\": \"{}\", \"total_qubits\": {}, \"architecture\": \"QC-SDE\", ",
+                "\"method\": \"analytic\", \"batch_window_us\": {}, ",
                 "\"threads\": {}, \"throughput_gain_at_max_load\": {:.2},\n",
                 "      \"sweep\": [\n{}\n      ]}}"
             ),
             name,
             w.total_qubits,
+            SWEEP_WINDOW.as_micros(),
             executor.threads(),
             max_load_gain,
             cells.join(",\n")
@@ -425,7 +453,7 @@ fn emit_online_json(smoke: bool) -> String {
     let producers = 2;
     let requests_per_producer = if smoke { 10 } else { 400 };
     let max_cycles = if smoke { 1 } else { 3 };
-    let w = workload("latency", 16, 2);
+    let w = workload("latency", QuClassiConfig::qc_s(16, 2));
     // Warm-up, then baseline without any training alongside.
     run_cell(&w, true, producers, requests_per_producer / 5 + 1);
     let baseline = run_cell(&w, true, producers, requests_per_producer);
@@ -463,7 +491,7 @@ fn emit_observability_json(smoke: bool) -> String {
     let producers = 4;
     let requests_per_producer = if smoke { 10 } else { 400 };
     let reps = if smoke { 1 } else { 5 };
-    let w = workload("latency", 4, 3);
+    let w = workload("latency", QuClassiConfig::qc_s(4, 3));
     let config_for = |trace_capacity: usize| ServeConfig {
         trace_capacity,
         ..serve_config(true)
@@ -677,7 +705,7 @@ fn emit_connections_json(smoke: bool) -> String {
     let connection_sweep: &[usize] = if smoke { &[50] } else { &[100, 1_000, 10_000] };
     let roundtrips = if smoke { 20 } else { 2_000 };
     let pipelined = if smoke { 16 } else { 1_024 };
-    let w = workload("wire", 4, 3);
+    let w = workload("wire", QuClassiConfig::qc_s(4, 3));
     let mut cells = Vec::new();
     for &connections in connection_sweep {
         let r = run_wire_cell(&w, connections, roundtrips, pipelined);

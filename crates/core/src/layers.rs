@@ -102,8 +102,8 @@ impl LayerKind {
     /// Returns the number of parameter values consumed.
     ///
     /// Serving-time compilation uses this to bake a class's trained state
-    /// preparation into a circuit as static instructions, which the fusion
-    /// engine can then precompute (see `quclassi-infer`).
+    /// preparation into a circuit as static instructions (see
+    /// `quclassi-infer`).
     ///
     /// # Panics
     /// Panics when `params` holds fewer than `param_offset +
@@ -289,8 +289,7 @@ impl LayerStack {
 
     /// Appends the stack's gates with `params` bound in as fixed angles, in
     /// exactly the gate order of [`LayerStack::append_to`]. Serving-time
-    /// compilation uses this to make a trained class state parameter-free
-    /// (and therefore fusable into a precomputed static prelude).
+    /// compilation uses this to make a trained class state parameter-free.
     ///
     /// # Errors
     /// Returns an error when `params` does not match

@@ -2,27 +2,26 @@
 //!
 //! QuClassi scores a data point against a class by the fidelity
 //! `F = |⟨φ_x|ω_c⟩|²` between the encoded data state and the class's learned
-//! state. Two estimation paths are provided:
+//! state. Two estimation methods are provided:
 //!
-//! * **SWAP test** (paper-faithful): build the full `2·m + 1`-qubit circuit
-//!   of Fig. 7 — ancilla + learned register + data register — apply a
-//!   Hadamard, per-pair CSWAPs, another Hadamard, and measure the ancilla.
-//!   `P(ancilla = 0) = ½ + ½·F`, so `F = 2·P(0) − 1`. This path goes through
-//!   the [`Executor`], so it supports shots and device noise.
+//! * **SWAP test** (paper-faithful): the `2·m + 1`-qubit circuit of Fig. 7
+//!   — ancilla + learned register + data register — applies a Hadamard,
+//!   per-pair CSWAPs, another Hadamard, and measures the ancilla.
+//!   `P(ancilla = 0) = ½ + ½·F`, so `F = 2·P(0) − 1`. Estimates go through
+//!   the [`Executor`], so they support shots and device noise.
 //! * **Analytic**: prepare the two `m`-qubit registers separately and take
-//!   the exact inner product. Mathematically identical in the noiseless,
-//!   infinite-shot limit, and much cheaper — this is what training uses by
-//!   default.
+//!   the exact inner product. This is what training uses by default.
 //!
-//! Both paths share a product-state kernel. When the layer stack has no
-//! entanglement layer ([`LayerStack::is_separable`]) the class and data
-//! states are products of single-qubit states, so
-//! `F = Π_q |⟨φ_q|ω_q⟩|²`, and a noiseless SWAP test measures exactly
-//! `P(0) = (1 + F)/2`. Every deterministic estimate of such a stack — the
-//! analytic method, or the SWAP test through an exact executor — is
-//! therefore scored through [`ProductState::fidelity`] in `O(m)`, with no
-//! statevector. Entangled stacks, and SWAP tests with shots or noise, run
-//! their circuits as before.
+//! For pure states `P(0) = ½ + ½·F` holds exactly whatever the layer
+//! stack, so only an executor with gate noise or readout error
+//! ([`FidelityEstimator::simulates_circuit`]) builds the SWAP-test circuit.
+//! Every other estimate computes `F` with the analytic kernels: a separable
+//! stack ([`LayerStack::is_separable`]) through
+//! [`ProductState::fidelity`], `F = Π_q |⟨φ_q|ω_q⟩|²` in `O(m)`, an
+//! entangled one through a statevector inner product. A noiseless SWAP
+//! test without shots therefore returns the analytic `F` bit for bit; with
+//! shots, the executor's [`Executor::sample_readout`] draws the ancilla's
+//! `P(1) = (1 − F)/2` exactly as it would after running the circuit.
 
 use crate::encoding::DataEncoder;
 use crate::error::QuClassiError;
@@ -30,7 +29,6 @@ use crate::layers::LayerStack;
 use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::circuit::Circuit;
 use quclassi_sim::executor::Executor;
-use quclassi_sim::fusion::FusedCircuit;
 use quclassi_sim::product::ProductState;
 use rand::Rng;
 
@@ -107,16 +105,14 @@ pub fn build_swap_test_circuit(
 /// roles of the two registers are swapped around the parameter axis:
 ///
 /// * the learned register's trained angles (`class_params`) are baked in as
-///   **fixed** gates — together with the leading ancilla Hadamard they are
-///   parameter-free, so [`quclassi_sim::fusion::FusedCircuit::compile`]
-///   hoists the whole class-state preparation into its precomputed static
-///   prelude;
+///   **fixed** gates;
 /// * the data register is **parametric**: symbolic parameters
 ///   `0 .. encoder.dim()` stand for the sample's encoding angles (in
 ///   [`DataEncoder::encoding_angles`] order), so one compiled circuit serves
 ///   every sample without re-lowering.
 ///
-/// This is the circuit shape `quclassi-infer` compiles once per class.
+/// This is the circuit `quclassi-infer` builds once per class for
+/// executors that simulate the SWAP test.
 pub fn build_class_swap_test_circuit(
     stack: &LayerStack,
     class_params: &[f64],
@@ -165,14 +161,14 @@ pub enum FidelityMethod {
 /// let x = [0.3, 0.8, 0.2, 0.6];
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 ///
-/// // The analytic path and the full SWAP-test circuit agree exactly.
+/// // A noiseless SWAP test without shots measures exactly F.
 /// let analytic = FidelityEstimator::analytic()
 ///     .estimate(&stack, &params, &encoder, &x, &mut rng)
 ///     .unwrap();
 /// let swap = FidelityEstimator::swap_test(Executor::ideal())
 ///     .estimate(&stack, &params, &encoder, &x, &mut rng)
 ///     .unwrap();
-/// assert!((analytic - swap).abs() < 1e-9);
+/// assert_eq!(analytic, swap);
 /// assert!((0.0..=1.0).contains(&analytic));
 /// ```
 #[derive(Clone, Debug)]
@@ -223,15 +219,6 @@ impl FidelityEstimator {
         self.method == FidelityMethod::SwapTest && !self.executor.is_exact()
     }
 
-    /// Whether fidelities of `stack` are scored through the product-state
-    /// kernel: the stack is separable and the estimator deterministic
-    /// (analytic, or a SWAP test through an exact executor, whose
-    /// `2·P(0) − 1` equals `F` exactly). Compiled serving dispatches on the
-    /// same predicate, so it and this estimator always share a kernel.
-    pub fn scores_product_states(&self, stack: &LayerStack) -> bool {
-        stack.is_separable() && !self.is_stochastic()
-    }
-
     fn check_param_len(&self, stack: &LayerStack, params: &[f64]) -> Result<(), QuClassiError> {
         if params.len() != stack.parameter_count() {
             return Err(QuClassiError::InvalidConfig(format!(
@@ -243,24 +230,42 @@ impl FidelityEstimator {
         Ok(())
     }
 
+    /// Whether estimates run the SWAP-test circuit: a SWAP test through an
+    /// executor with gate noise or readout error. Without either, the
+    /// ancilla reads `P(1) = (1 − F)/2` exactly whatever the stack, so F
+    /// comes from the analytic kernels and only the shot draw (if any)
+    /// remains.
+    pub fn simulates_circuit(&self) -> bool {
+        self.method == FidelityMethod::SwapTest && !self.executor.noise().is_ideal()
+    }
+
+    /// Passes an exact fidelity through the executor's measurement step:
+    /// unchanged without shots, otherwise the shot estimate of the
+    /// ancilla's `P(1) = (1 − F)/2` turned back into a fidelity. This is
+    /// how every estimate that does not simulate the circuit reads out;
+    /// compiled serving calls it too.
+    pub fn measure<R: Rng + ?Sized>(&self, fidelity: f64, rng: &mut R) -> f64 {
+        if self.executor.shots().is_none() {
+            return fidelity;
+        }
+        let p1 = self.executor.sample_readout((1.0 - fidelity) / 2.0, rng);
+        fidelity_from_p0(1.0 - p1)
+    }
+
     /// Estimates `|⟨φ_x|ω(params)⟩|²` for *many* parameter vectors against
     /// one data point, fanning the evaluations out over `batch`.
     ///
     /// This is the training hot path: one parameter-shift step needs
-    /// `2·P + 1` fidelity evaluations of the same circuit shape, so the
-    /// circuit is built (and, for the SWAP-test method, fused) **once** and
-    /// reused by every job instead of being rebuilt per evaluation as
-    /// [`FidelityEstimator::estimate`] must. When
-    /// [`FidelityEstimator::scores_product_states`] holds, each evaluation
-    /// is a product-state fold and runs inline instead of on `batch`.
+    /// `2·P + 1` fidelity evaluations of the same shape, so the data state
+    /// (or, when [`FidelityEstimator::simulates_circuit`] holds, the
+    /// SWAP-test circuit) is built **once** and reused by every job. A
+    /// separable stack's evaluations are product-state folds and run inline
+    /// instead of on `batch`.
     ///
-    /// Determinism: per-job RNG streams are derived from `base_seed` and the
-    /// job index, so results are bit-identical for any thread count. For
-    /// deterministic estimators (analytic, or exact SWAP test) `base_seed`
-    /// is ignored and the results are additionally bit-identical to
-    /// sequential [`FidelityEstimator::estimate`] calls on the same inputs,
-    /// except for an entangled stack under the exact SWAP test: its fused
-    /// circuit re-associates floats, and agrees to about 1e-10.
+    /// Determinism: job `i` draws its shots or noise from the stream of
+    /// `(base_seed, i)`, so results are bit-identical for any thread
+    /// count. Deterministic estimators ignore `base_seed` and are
+    /// bit-identical to sequential [`FidelityEstimator::estimate`] calls.
     pub fn estimate_many(
         &self,
         stack: &LayerStack,
@@ -273,54 +278,43 @@ impl FidelityEstimator {
         for params in param_sets {
             self.check_param_len(stack, params)?;
         }
-        if self.scores_product_states(stack) {
-            // Inline: one evaluation is a few hundred nanoseconds, less
-            // than handing it to a worker. Sequential, so bit-identical to
-            // `estimate` and to itself at any thread count.
-            check_widths(stack, encoder)?;
-            let circuit = stack.build_circuit();
-            let data = encoder.encode_product_state(x)?;
-            return param_sets
-                .iter()
-                .map(|params| product_fidelity(&circuit, params, &data))
+        let jobs: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
+        if self.simulates_circuit() {
+            let (circuit, layout) = build_swap_test_circuit(stack, encoder, x)?;
+            return batch
+                .run_seeded(base_seed, jobs, |_, params, rng| {
+                    let p1 =
+                        self.executor
+                            .probability_of_one(&circuit, params, layout.ancilla, rng)?;
+                    Ok(fidelity_from_p0(1.0 - p1))
+                })
+                .into_iter()
                 .collect();
         }
-        match self.method {
-            FidelityMethod::Analytic => {
-                check_widths(stack, encoder)?;
-                let circuit = stack.build_circuit();
-                let data = encoder.encode_state(x)?;
-                let jobs: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
-                batch
-                    .run_seeded(base_seed, jobs, |_, params, _| {
-                        // Unfused per-gate application, as in `estimate`:
-                        // fusing here would re-associate floats and break
-                        // the exact sequential-equality guarantee this
-                        // method makes.
-                        circuit
-                            .execute(params)
-                            .and_then(|learned| learned.fidelity(&data))
-                    })
-                    .into_iter()
-                    .map(|r| r.map_err(QuClassiError::from))
-                    .collect()
-            }
-            FidelityMethod::SwapTest => {
-                let (circuit, layout) = build_swap_test_circuit(stack, encoder, x)?;
-                let fused = FusedCircuit::compile(&circuit);
-                let p1s = batch.probabilities_of_one(
-                    &self.executor,
-                    &fused,
-                    param_sets,
-                    layout.ancilla,
-                    base_seed,
-                )?;
-                Ok(p1s
-                    .into_iter()
-                    .map(|p1| fidelity_from_p0(1.0 - p1))
-                    .collect())
-            }
+        check_widths(stack, encoder)?;
+        let circuit = stack.build_circuit();
+        let fidelities: Vec<f64> = if stack.is_separable() {
+            // Inline: one evaluation is a few hundred nanoseconds, less
+            // than handing it to a worker.
+            let data = encoder.encode_product_state(x)?;
+            jobs.iter()
+                .map(|params| product_fidelity(&circuit, params, &data))
+                .collect::<Result<_, _>>()?
+        } else {
+            let data = encoder.encode_state(x)?;
+            batch
+                .run_seeded(base_seed, jobs, |_, params, _| {
+                    circuit
+                        .execute(params)
+                        .and_then(|learned| learned.fidelity(&data))
+                })
+                .into_iter()
+                .collect::<Result<_, _>>()?
+        };
+        if !self.is_stochastic() {
+            return Ok(fidelities);
         }
+        Ok(batch.run_seeded(base_seed, fidelities, |_, f, rng| self.measure(f, rng)))
     }
 
     /// Estimates `|⟨φ_x|ω(params)⟩|²`.
@@ -333,26 +327,23 @@ impl FidelityEstimator {
         rng: &mut R,
     ) -> Result<f64, QuClassiError> {
         self.check_param_len(stack, params)?;
-        if self.scores_product_states(stack) {
-            check_widths(stack, encoder)?;
-            let data = encoder.encode_product_state(x)?;
-            return product_fidelity(&stack.build_circuit(), params, &data);
+        if self.simulates_circuit() {
+            let (circuit, layout) = build_swap_test_circuit(stack, encoder, x)?;
+            let p1 = self
+                .executor
+                .probability_of_one(&circuit, params, layout.ancilla, rng)?;
+            return Ok(fidelity_from_p0(1.0 - p1));
         }
-        match self.method {
-            FidelityMethod::Analytic => {
-                check_widths(stack, encoder)?;
-                let learned = stack.build_circuit().execute(params)?;
-                let data = encoder.encode_state(x)?;
-                Ok(learned.fidelity(&data)?)
-            }
-            FidelityMethod::SwapTest => {
-                let (circuit, layout) = build_swap_test_circuit(stack, encoder, x)?;
-                let p1 = self
-                    .executor
-                    .probability_of_one(&circuit, params, layout.ancilla, rng)?;
-                Ok(fidelity_from_p0(1.0 - p1))
-            }
-        }
+        check_widths(stack, encoder)?;
+        let circuit = stack.build_circuit();
+        let fidelity = if stack.is_separable() {
+            product_fidelity(&circuit, params, &encoder.encode_product_state(x)?)?
+        } else {
+            circuit
+                .execute(params)?
+                .fidelity(&encoder.encode_state(x)?)?
+        };
+        Ok(self.measure(fidelity, rng))
     }
 }
 
@@ -445,10 +436,7 @@ mod tests {
         let swap = FidelityEstimator::swap_test(Executor::ideal())
             .estimate(&stack, &params, &encoder, &x, &mut rng)
             .unwrap();
-        assert!(
-            (analytic - swap).abs() < 1e-9,
-            "analytic {analytic} vs swap {swap}"
-        );
+        assert_eq!(analytic.to_bits(), swap.to_bits());
     }
 
     #[test]
@@ -557,62 +545,84 @@ mod tests {
     #[test]
     fn estimate_many_matches_sequential_estimates_bit_for_bit() {
         // Deterministic estimators: the batched path must reproduce the
-        // sequential path exactly, for both methods and any thread count.
-        let (stack, encoder) = setup(4);
+        // sequential path exactly, for both methods, separable and
+        // entangled stacks, and any thread count; and the exact SWAP test
+        // must equal the analytic method.
+        let encoder = DataEncoder::new(EncodingStrategy::DualAngle, 4).unwrap();
         let x = vec![0.3, 0.8, 0.2, 0.6];
-        let sets: Vec<Vec<f64>> = (0..5)
-            .map(|s| {
-                (0..stack.parameter_count())
-                    .map(|i| 0.1 + 0.2 * s as f64 + 0.05 * i as f64)
-                    .collect()
-            })
-            .collect();
-        for est in [
-            FidelityEstimator::analytic(),
-            FidelityEstimator::swap_test(Executor::ideal()),
-        ] {
-            assert!(!est.is_stochastic());
-            let mut rng = StdRng::seed_from_u64(9);
-            let sequential: Vec<u64> = sets
-                .iter()
-                .map(|p| {
-                    est.estimate(&stack, p, &encoder, &x, &mut rng)
-                        .unwrap()
-                        .to_bits()
+        for stack in [LayerStack::qc_s(2).unwrap(), LayerStack::qc_sde(2).unwrap()] {
+            let sets: Vec<Vec<f64>> = (0..5)
+                .map(|s| {
+                    (0..stack.parameter_count())
+                        .map(|i| 0.1 + 0.2 * s as f64 + 0.05 * i as f64)
+                        .collect()
                 })
                 .collect();
-            for threads in [1, 2, 8] {
-                let batch = BatchExecutor::new(threads, 0);
-                let batched: Vec<u64> = est
-                    .estimate_many(&stack, &sets, &encoder, &x, &batch, 12345)
-                    .unwrap()
-                    .into_iter()
-                    .map(f64::to_bits)
+            let mut per_method = Vec::new();
+            for est in [
+                FidelityEstimator::analytic(),
+                FidelityEstimator::swap_test(Executor::ideal()),
+            ] {
+                assert!(!est.is_stochastic());
+                let mut rng = StdRng::seed_from_u64(9);
+                let sequential: Vec<u64> = sets
+                    .iter()
+                    .map(|p| {
+                        est.estimate(&stack, p, &encoder, &x, &mut rng)
+                            .unwrap()
+                            .to_bits()
+                    })
                     .collect();
-                if est.method() == FidelityMethod::Analytic {
-                    assert_eq!(sequential, batched, "{threads} threads");
-                } else {
-                    // The fused SWAP-test path re-associates floating point;
-                    // equality holds to fusion tolerance and across threads.
-                    for (s, b) in sequential.iter().zip(batched.iter()) {
-                        let (s, b) = (f64::from_bits(*s), f64::from_bits(*b));
-                        assert!((s - b).abs() < 1e-10, "{s} vs {b}");
-                    }
-                    let one_thread: Vec<u64> = est
-                        .estimate_many(
-                            &stack,
-                            &sets,
-                            &encoder,
-                            &x,
-                            &BatchExecutor::new(1, 0),
-                            12345,
-                        )
+                for threads in [1, 2, 8] {
+                    let batch = BatchExecutor::new(threads, 0);
+                    let batched: Vec<u64> = est
+                        .estimate_many(&stack, &sets, &encoder, &x, &batch, 12345)
                         .unwrap()
                         .into_iter()
                         .map(f64::to_bits)
                         .collect();
-                    assert_eq!(one_thread, batched, "{threads} threads");
+                    assert_eq!(sequential, batched, "{threads} threads");
                 }
+                per_method.push(sequential);
+            }
+            assert_eq!(
+                per_method[0],
+                per_method[1],
+                "{}",
+                stack.architecture_name()
+            );
+        }
+    }
+
+    #[test]
+    fn shot_estimates_match_exact_fidelity_at_10k_shots() {
+        // The shot draw is Binomial(shots, (1 − F)/2) on the ancilla: each
+        // estimate lands within 5σ of the exact fidelity.
+        let encoder = DataEncoder::new(EncodingStrategy::DualAngle, 4).unwrap();
+        let x = vec![0.5, 0.1, 0.9, 0.4];
+        let shots = 10_000usize;
+        let est = FidelityEstimator::swap_test(Executor::ideal().with_shots(Some(shots)));
+        for stack in [LayerStack::qc_s(2).unwrap(), LayerStack::qc_sde(2).unwrap()] {
+            let sets: Vec<Vec<f64>> = (0..8)
+                .map(|s| {
+                    (0..stack.parameter_count())
+                        .map(|i| 0.4 * s as f64 - 0.3 * i as f64)
+                        .collect()
+                })
+                .collect();
+            let batch = BatchExecutor::new(2, 0);
+            let got = est
+                .estimate_many(&stack, &sets, &encoder, &x, &batch, 31)
+                .unwrap();
+            let mut rng = StdRng::seed_from_u64(0);
+            for (params, g) in sets.iter().zip(got) {
+                let f = FidelityEstimator::analytic()
+                    .estimate(&stack, params, &encoder, &x, &mut rng)
+                    .unwrap();
+                let p1 = (1.0 - f) / 2.0;
+                // F = 1 − 2·P(1), so σ_F = 2·σ_P1.
+                let sigma = 2.0 * (p1 * (1.0 - p1) / shots as f64).sqrt().max(1e-3);
+                assert!((g - f).abs() < 5.0 * sigma, "sampled {g} vs exact {f}");
             }
         }
     }
@@ -686,23 +696,6 @@ mod tests {
             // impossible by construction — states agree bit-for-bit.
             assert_eq!(a, b, "{}", stack.architecture_name());
         }
-    }
-
-    #[test]
-    fn class_swap_test_circuit_prelude_covers_class_state() {
-        // The whole learned register plus the leading Hadamard must land in
-        // the fused static prelude: per-sample work is only the data side.
-        use quclassi_sim::fusion::FusedCircuit;
-        let encoder = DataEncoder::new(EncodingStrategy::DualAngle, 4).unwrap();
-        let stack = LayerStack::qc_s(2).unwrap();
-        let params = vec![0.4, 1.0, 0.2, 0.8];
-        let (circuit, _) = build_class_swap_test_circuit(&stack, &params, &encoder).unwrap();
-        let fused = FusedCircuit::compile(&circuit);
-        assert!(
-            fused.prefix_len() >= 1,
-            "expected the class-state preparation to be hoisted"
-        );
-        assert!(fused.num_static_ops() >= 1);
     }
 
     #[test]

@@ -356,8 +356,8 @@ impl Trainer {
         let params = model.class_params(class)?.to_vec();
 
         // One batched dispatch evaluates the current fidelity and every
-        // parameter-shift neighbour: the circuit is built (and fused) once
-        // and the 2·P + 1 evaluations fan out over the batch executor.
+        // parameter-shift neighbour: the circuit is built once and the
+        // 2·P + 1 evaluations fan out over the batch executor.
         // Estimator noise (shots / hardware) flows through per-job RNG
         // streams exactly as it would on a real device, and only stochastic
         // estimators draw from the trainer RNG at all — deterministic

@@ -7,10 +7,9 @@ use quclassi::loss::softmax;
 use quclassi::model::{QuClassiConfig, QuClassiModel};
 use quclassi::swap_test::{
     build_class_swap_test_circuit, class_product_state, fidelity_from_p0, FidelityEstimator,
-    FidelityMethod,
 };
 use quclassi_sim::batch::BatchExecutor;
-use quclassi_sim::fusion::FusedCircuit;
+use quclassi_sim::circuit::Circuit;
 use quclassi_sim::gemm::StateMatrix;
 use quclassi_sim::product::ProductState;
 use quclassi_sim::state::StateVector;
@@ -21,28 +20,28 @@ use std::sync::Mutex;
 /// Default capacity of the encoding-fingerprint LRU cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// The method-specific compiled per-class artifacts.
+/// The compiled per-class artifacts. `Product` and `Analytic` compute
+/// exact fidelities; a shot-limited estimator then draws its shots from
+/// them through [`FidelityEstimator::measure`].
 #[derive(Clone, Debug)]
 enum CompiledClasses {
-    /// Separable stack under a deterministic estimator
-    /// ([`FidelityEstimator::scores_product_states`]): every class state
-    /// |ω_c⟩ as a [`ProductState`], scored against the sample's product
-    /// state through [`ProductState::fidelity`] — the kernel the estimator
-    /// itself uses, so compiled and uncompiled answers are bit-identical.
+    /// Separable stack: every class state |ω_c⟩ as a [`ProductState`],
+    /// scored against the sample's product state through
+    /// [`ProductState::fidelity`] — the kernel the estimator itself uses,
+    /// so compiled and uncompiled answers are bit-identical.
     Product { class_states: Vec<ProductState> },
-    /// Analytic method, entangled stack: every class state |ω_c⟩
-    /// evaluated once at compile time and packed into one contiguous
-    /// [`StateMatrix`] — scoring a sample is one in-place data-register
-    /// preparation plus one GEMM row sweep over the packed class plane (one
-    /// fixed-tree inner product per class, bit-identical to per-pair
-    /// [`StateVector::fidelity`]).
+    /// Entangled stack: every class state |ω_c⟩ evaluated once at compile
+    /// time and packed into one contiguous [`StateMatrix`] — scoring a
+    /// sample is one in-place data-register preparation plus one GEMM row
+    /// sweep over the packed class plane (one fixed-tree inner product per
+    /// class, bit-identical to per-pair [`StateVector::fidelity`]).
     Analytic { class_matrix: StateMatrix },
-    /// SWAP-test method, entangled stack or stochastic executor: one fused
-    /// circuit per class with the trained angles baked into the precomputed
-    /// static prelude; the sample's encoding angles are the circuit's only
-    /// parameters.
-    SwapTest {
-        circuits: Vec<FusedCircuit>,
+    /// SWAP test through a noisy executor
+    /// ([`FidelityEstimator::simulates_circuit`]): one circuit per class
+    /// from [`build_class_swap_test_circuit`], with the trained angles
+    /// baked in and the sample's encoding angles as its only parameters.
+    NoisySwapTest {
+        circuits: Vec<Circuit>,
         ancilla: usize,
     },
 }
@@ -110,10 +109,10 @@ impl Prediction {
 
 /// A trained QuClassi model compiled into an immutable inference artifact.
 ///
-/// Compile once with [`CompiledModel::compile`]; every circuit lowering,
-/// gate fusion and class-state evaluation happens there. Serving calls
-/// ([`CompiledModel::predict`], [`CompiledModel::predict_many`]) only bind
-/// a sample's encoding angles into the precompiled programs.
+/// Compile once with [`CompiledModel::compile`]; every class-state
+/// evaluation and circuit lowering happens there. Serving calls
+/// ([`CompiledModel::predict`], [`CompiledModel::predict_many`]) only
+/// encode a sample and score it against the precompiled classes.
 ///
 /// ```
 /// use quclassi::prelude::*;
@@ -163,53 +162,46 @@ impl Clone for CompiledModel {
 impl CompiledModel {
     /// Compiles a trained model for serving under `estimator`.
     ///
-    /// * Separable stack (no entanglement layer) under the analytic method
-    ///   or an exact SWAP-test executor: each class state is folded once
-    ///   into a [`ProductState`]; scoring a sample is one product-state
-    ///   encode and `O(qubits)` work per class, inline.
-    /// * Otherwise, analytic method: each class state is prepared once as
-    ///   a statevector and packed for a GEMM sweep.
-    /// * Otherwise, SWAP-test method: each class gets its own fused circuit
-    ///   with the trained angles baked in (hoisted into the precomputed
-    ///   prelude) and the data register parametric. Ideal executors run the
-    ///   fused program; noisy/density executors transparently fall back to
-    ///   per-gate evolution of the source circuit, preserving semantics.
+    /// * SWAP test through a noisy executor: each class gets its own
+    ///   SWAP-test circuit with the trained angles baked in and the data
+    ///   register parametric, run gate by gate per sample.
+    /// * Otherwise, separable stack (no entanglement layer): each class
+    ///   state is folded once into a [`ProductState`]; scoring a sample is
+    ///   one product-state encode and `O(qubits)` work per class, inline.
+    /// * Otherwise: each class state is prepared once as a statevector and
+    ///   packed for a GEMM sweep.
+    ///
+    /// A noiseless SWAP test measures exactly the fidelity these kernels
+    /// compute, so with shots each exact fidelity is drawn through
+    /// [`FidelityEstimator::measure`].
     pub fn compile(
         model: &QuClassiModel,
         estimator: FidelityEstimator,
     ) -> Result<Self, QuClassiError> {
         let config = model.config().clone();
         let encoder = model.encoder().clone();
-        let classes = if estimator.scores_product_states(model.stack()) {
+        let classes = if estimator.simulates_circuit() {
+            let mut circuits = Vec::with_capacity(model.num_classes());
+            let mut ancilla = 0;
+            for c in 0..model.num_classes() {
+                let (circuit, layout) =
+                    build_class_swap_test_circuit(model.stack(), model.class_params(c)?, &encoder)?;
+                ancilla = layout.ancilla;
+                circuits.push(circuit);
+            }
+            CompiledClasses::NoisySwapTest { circuits, ancilla }
+        } else if model.stack().is_separable() {
             let circuit = model.stack().build_circuit();
             let class_states = (0..model.num_classes())
                 .map(|c| class_product_state(&circuit, model.class_params(c)?))
                 .collect::<Result<Vec<_>, _>>()?;
             CompiledClasses::Product { class_states }
         } else {
-            match estimator.method() {
-                FidelityMethod::Analytic => {
-                    let states = (0..model.num_classes())
-                        .map(|c| model.learned_state(c))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let class_matrix = StateMatrix::pack(&states)?;
-                    CompiledClasses::Analytic { class_matrix }
-                }
-                FidelityMethod::SwapTest => {
-                    let mut circuits = Vec::with_capacity(model.num_classes());
-                    let mut ancilla = 0;
-                    for c in 0..model.num_classes() {
-                        let (circuit, layout) = build_class_swap_test_circuit(
-                            model.stack(),
-                            model.class_params(c)?,
-                            &encoder,
-                        )?;
-                        ancilla = layout.ancilla;
-                        circuits.push(FusedCircuit::compile(&circuit));
-                    }
-                    CompiledClasses::SwapTest { circuits, ancilla }
-                }
-            }
+            let states = (0..model.num_classes())
+                .map(|c| model.learned_state(c))
+                .collect::<Result<Vec<_>, _>>()?;
+            let class_matrix = StateMatrix::pack(&states)?;
+            CompiledClasses::Analytic { class_matrix }
         };
         let cache_enabled = !estimator.is_stochastic();
         Ok(CompiledModel {
@@ -257,7 +249,7 @@ impl CompiledModel {
     /// `O(qubits)` per class, with no batch-executor fan-out — so batching
     /// it with other samples saves nothing.
     pub fn scores_product_states(&self) -> bool {
-        matches!(self.classes, CompiledClasses::Product { .. })
+        matches!(self.classes, CompiledClasses::Product { .. }) && !self.estimator.is_stochastic()
     }
 
     /// Whether results are answered from the fingerprint cache. Caching is
@@ -278,15 +270,16 @@ impl CompiledModel {
     }
 
     /// Fidelities between one encoded sample (given as angles) and every
-    /// class, computed sequentially — the single-sample hot path.
+    /// class, computed sequentially — the single-sample hot path. Shots
+    /// and noise draw from `rng` class by class.
     fn fidelities_from_angles<R: Rng + ?Sized>(
         &self,
         angles: &[f64],
         rng: &mut R,
     ) -> Result<Vec<f64>, QuClassiError> {
-        match &self.classes {
+        let exact = match &self.classes {
             CompiledClasses::Product { class_states } => {
-                product_fidelities(&self.encoder, class_states, angles)
+                product_fidelities(&self.encoder, class_states, angles)?
             }
             CompiledClasses::Analytic { class_matrix } => {
                 // Product-state fast preparation: bit-identical fidelities
@@ -296,19 +289,34 @@ impl CompiledModel {
                 let data = self.encoder.encode_state_from_angles(angles)?;
                 let mut fidelities = vec![0.0; class_matrix.rows()];
                 class_matrix.fidelities_into(&data, &mut fidelities)?;
-                Ok(fidelities)
+                fidelities
             }
-            CompiledClasses::SwapTest { circuits, ancilla } => circuits
-                .iter()
-                .map(|circuit| {
-                    let p1 = self
-                        .estimator
-                        .executor()
-                        .probability_of_one_compiled(circuit, angles, *ancilla, rng)?;
-                    Ok(fidelity_from_p0(1.0 - p1))
-                })
-                .collect(),
-        }
+            CompiledClasses::NoisySwapTest { circuits, ancilla } => {
+                return circuits
+                    .iter()
+                    .map(|circuit| self.swap_test_fidelity(circuit, angles, *ancilla, rng))
+                    .collect()
+            }
+        };
+        Ok(exact
+            .into_iter()
+            .map(|f| self.estimator.measure(f, rng))
+            .collect())
+    }
+
+    /// One noisy SWAP-test estimate through the estimator's executor.
+    fn swap_test_fidelity<R: Rng + ?Sized>(
+        &self,
+        circuit: &Circuit,
+        angles: &[f64],
+        ancilla: usize,
+        rng: &mut R,
+    ) -> Result<f64, QuClassiError> {
+        let p1 = self
+            .estimator
+            .executor()
+            .probability_of_one(circuit, angles, ancilla, rng)?;
+        Ok(fidelity_from_p0(1.0 - p1))
     }
 
     /// Fidelities between a data point and every class state, answering
@@ -484,9 +492,9 @@ impl CompiledModel {
 
     /// Evaluates per-class fidelities for many encoded samples: inline for
     /// product states (a sample costs less than a hand-off to a worker),
-    /// otherwise through the batch executor (one flat samples × classes job
-    /// list for the SWAP-test method, one job per sample for the analytic
-    /// method).
+    /// otherwise through the batch executor (one job per sample for the
+    /// GEMM, one flat samples × classes job list for noisy SWAP tests and
+    /// for shot draws).
     fn batched_fidelities(
         &self,
         angles: &[Vec<f64>],
@@ -496,11 +504,11 @@ impl CompiledModel {
         if angles.is_empty() {
             return Ok(Vec::new());
         }
-        match &self.classes {
+        let exact: Vec<Vec<f64>> = match &self.classes {
             CompiledClasses::Product { class_states } => angles
                 .iter()
                 .map(|a| product_fidelities(&self.encoder, class_states, a))
-                .collect(),
+                .collect::<Result<_, _>>()?,
             CompiledClasses::Analytic { class_matrix } => {
                 // The batched analytic score is the samples × classes
                 // fidelity GEMM: encoded-sample rows against the packed
@@ -524,29 +532,34 @@ impl CompiledModel {
                                 .encode_state_from_angles_into(sample_angles, scratch)?;
                             let mut fidelities = vec![0.0; class_matrix.rows()];
                             class_matrix.fidelities_into(scratch, &mut fidelities)?;
-                            Ok(fidelities)
+                            Ok::<_, QuClassiError>(fidelities)
                         },
                     )
                     .into_iter()
-                    .collect()
+                    .collect::<Result<_, _>>()?
             }
-            CompiledClasses::SwapTest { circuits, ancilla } => {
-                let jobs: Vec<(&FusedCircuit, &[f64])> = angles
+            CompiledClasses::NoisySwapTest { circuits, ancilla } => {
+                let jobs: Vec<(&Circuit, &[f64])> = angles
                     .iter()
                     .flat_map(|a| circuits.iter().map(move |c| (c, a.as_slice())))
                     .collect();
-                let p1s = batch.probabilities_of_one_each(
-                    self.estimator.executor(),
-                    &jobs,
-                    *ancilla,
-                    base_seed,
-                )?;
-                Ok(p1s
-                    .chunks(circuits.len())
-                    .map(|chunk| chunk.iter().map(|&p1| fidelity_from_p0(1.0 - p1)).collect())
-                    .collect())
+                let fidelities = batch
+                    .run_seeded(base_seed, jobs, |_, (circuit, a), rng| {
+                        self.swap_test_fidelity(circuit, a, *ancilla, rng)
+                    })
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()?;
+                return Ok(per_sample(&fidelities, circuits.len()));
             }
+        };
+        if !self.estimator.is_stochastic() {
+            return Ok(exact);
         }
+        // Shots: job `sample·classes + class` draws from its own stream.
+        let flat: Vec<f64> = exact.into_iter().flatten().collect();
+        let measured =
+            batch.run_seeded(base_seed, flat, |_, f, rng| self.estimator.measure(f, rng));
+        Ok(per_sample(&measured, self.num_classes()))
     }
 
     /// Classification accuracy of the compiled artifact over a labelled
@@ -592,6 +605,11 @@ fn product_fidelities(
         .iter()
         .map(|class| Ok(class.fidelity(&data)?))
         .collect()
+}
+
+/// Splits a flat samples × classes list into one row per sample.
+fn per_sample(flat: &[f64], classes: usize) -> Vec<Vec<f64>> {
+    flat.chunks(classes).map(<[f64]>::to_vec).collect()
 }
 
 /// Arg-max with the exact tie-breaking of `QuClassiModel::predict`
@@ -667,9 +685,11 @@ mod tests {
         for x in samples() {
             let fast = compiled.class_fidelities(&x, &mut rng).unwrap();
             let slow = model.class_fidelities(&x, &estimator, &mut rng).unwrap();
-            for (f, s) in fast.iter().zip(slow.iter()) {
-                assert!((f - s).abs() < 1e-10, "{f} vs {s}");
-            }
+            assert_eq!(fast, slow);
+            let analytic = model
+                .class_fidelities(&x, &FidelityEstimator::analytic(), &mut rng)
+                .unwrap();
+            assert_eq!(fast, analytic);
             assert_eq!(
                 compiled.predict(&x, &mut rng).unwrap(),
                 model.predict(&x, &estimator, &mut rng).unwrap()
@@ -780,6 +800,61 @@ mod tests {
         // each keeps its own shot noise.
         let r = run(1, 7);
         assert_ne!(r[0], r[3]);
+    }
+
+    #[test]
+    fn shot_draws_follow_the_uncompiled_estimator_stream() {
+        // Single sample: the caller's RNG, class by class, exactly as the
+        // uncompiled model draws it. Batch: job `sample·classes + class`
+        // of the base seed.
+        for model in [
+            trained_model(13),
+            QuClassiModel::with_random_parameters(
+                QuClassiConfig::qc_s(4, 3),
+                &mut StdRng::seed_from_u64(13),
+            )
+            .unwrap(),
+        ] {
+            let estimator = FidelityEstimator::swap_test(Executor::ideal().with_shots(Some(300)));
+            let compiled = CompiledModel::compile(&model, estimator.clone()).unwrap();
+            let xs = samples();
+            for x in &xs {
+                let served = compiled
+                    .class_fidelities(x, &mut StdRng::seed_from_u64(4))
+                    .unwrap();
+                let direct = model
+                    .class_fidelities(x, &estimator, &mut StdRng::seed_from_u64(4))
+                    .unwrap();
+                assert_eq!(served, direct);
+            }
+            let classes = compiled.num_classes();
+            let want: Vec<Vec<f64>> = xs
+                .iter()
+                .enumerate()
+                .map(|(s, x)| {
+                    let mut unused = StdRng::seed_from_u64(0);
+                    let exact = model
+                        .class_fidelities(x, &FidelityEstimator::analytic(), &mut unused)
+                        .unwrap();
+                    exact
+                        .into_iter()
+                        .enumerate()
+                        .map(|(c, f)| {
+                            let index = (s * classes + c) as u64;
+                            let mut rng = StdRng::seed_from_u64(BatchExecutor::job_seed(21, index));
+                            estimator.measure(f, &mut rng)
+                        })
+                        .collect()
+                })
+                .collect();
+            let got: Vec<Vec<f64>> = compiled
+                .predict_many(&xs, &BatchExecutor::new(2, 0), 21)
+                .unwrap()
+                .into_iter()
+                .map(|p| p.fidelities)
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -905,6 +980,13 @@ mod tests {
                 true,
             ),
             (&separable, shots, false),
+            (
+                &separable,
+                FidelityEstimator::swap_test(Executor::noisy_density(
+                    quclassi_sim::noise::NoiseModel::depolarizing(0.01, 0.02, 0.0).unwrap(),
+                )),
+                false,
+            ),
             (&trained_model(11), FidelityEstimator::analytic(), false),
         ] {
             let compiled = CompiledModel::compile(model, estimator).unwrap();

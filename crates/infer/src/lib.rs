@@ -7,19 +7,20 @@
 //! latency-sensitive: a trained model is frozen, and every request scores a
 //! sample against one precompiled quantum state per class via SWAP-test
 //! fidelity. The convenience path in the `quclassi` crate
-//! ([`quclassi::model::QuClassiModel::predict`]) re-lowers and re-fuses its
-//! circuits on *every* call; this crate moves all of that work to a single
-//! compile step:
+//! ([`quclassi::model::QuClassiModel::predict`]) rebuilds its class states
+//! on *every* call; this crate moves that work to a single compile step:
 //!
 //! * [`CompiledModel::compile`] freezes a trained model into an immutable
-//!   artifact. A separable model (no entanglement layer) under the analytic
-//!   method or an exact SWAP-test executor keeps one
+//!   artifact. A separable model (no entanglement layer) keeps one
 //!   [`quclassi_sim::product::ProductState`] per class: scoring a sample is
-//!   `O(qubits)` per class, with no statevector and no circuit. Otherwise
-//!   the artifact holds per-class class-state preparations evaluated once
-//!   (analytic method) or per-class [`quclassi_sim::fusion::FusedCircuit`]s
-//!   with the trained angles baked into their precomputed static preludes
-//!   (SWAP-test method), the sample's encoding angles being the only
+//!   `O(qubits)` per class, with no statevector and no circuit. An
+//!   entangled model keeps its class states packed for one GEMM sweep per
+//!   sample. Both serve the analytic method and every SWAP test through a
+//!   noiseless executor, whose ancilla measures exactly the fidelity they
+//!   compute; with shots, the exact fidelity is then drawn through
+//!   [`quclassi::swap_test::FidelityEstimator::measure`]. Only a SWAP test
+//!   through a noisy executor keeps per-class circuits, with the trained
+//!   angles baked in and the sample's encoding angles as the only
 //!   parameters;
 //! * [`CompiledModel::predict_many`] scores product-state artifacts inline
 //!   and fans every other artifact's samples × classes over a
@@ -34,12 +35,10 @@
 //! ## Determinism
 //!
 //! Deterministic estimators (analytic, exact SWAP test) produce results
-//! **bit-identical to the uncompiled sequential path**: product-state
-//! artifacts exactly, for both estimators, because compiled and uncompiled
-//! scoring share one kernel; entangled analytic artifacts exactly;
-//! entangled exact SWAP-test artifacts up to gate-fusion float
-//! re-association. Every deterministic result is bit-identical across any
-//! thread count. Stochastic estimators derive per-job RNG streams from
+//! **bit-identical to the uncompiled sequential path**, and the exact SWAP
+//! test bit-identical to the analytic method, separable or entangled.
+//! Every deterministic result is bit-identical across any thread count.
+//! Stochastic estimators derive per-job RNG streams from
 //! `(base_seed, job index)` so batched serving is bit-identical for 1, 2 or
 //! 8 threads.
 //!

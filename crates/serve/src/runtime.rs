@@ -822,6 +822,7 @@ impl Shared {
         let enabled = u64::from(quclassi_sim::profile::enabled());
         for (kind, name, value) in [
             ("gauge", "quclassi_sim_profile_enabled", enabled),
+            // Always 0 (no kernel fuses gates); kept so scrapes keep the series.
             ("counter", "quclassi_sim_fused_groups_total", p.fused_groups),
             ("counter", "quclassi_sim_dense_sweeps_total", p.dense_sweeps),
             (

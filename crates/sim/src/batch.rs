@@ -19,8 +19,6 @@
 use crate::circuit::Circuit;
 use crate::error::SimError;
 use crate::executor::Executor;
-use crate::fusion::FusedCircuit;
-use crate::state::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use threadpool::ThreadPool;
@@ -168,11 +166,10 @@ impl BatchExecutor {
 
     /// Like [`BatchExecutor::run_seeded`], but every worker additionally
     /// carries a private scratch value created once by `init` and reused
-    /// across all the jobs that worker runs — the hook that lets execution
-    /// loops reuse statevector buffers instead of allocating one per job.
+    /// across all the jobs that worker runs — the hook that lets a loop
+    /// reuse one statevector buffer instead of allocating one per job.
     /// Thread-count invariance is preserved as long as jobs fully
-    /// overwrite whatever scratch state they read (buffers reused by the
-    /// executor paths here satisfy that by construction).
+    /// overwrite whatever scratch state they read.
     pub fn run_seeded_with_scratch<T, U, S, I, F>(
         &self,
         base: u64,
@@ -191,77 +188,6 @@ impl BatchExecutor {
                 let mut rng = StdRng::seed_from_u64(Self::job_seed(base, index as u64));
                 f(index, job, &mut rng, scratch)
             })
-    }
-
-    /// Evaluates `P(qubit = 1)` for each parameter vector against a compiled
-    /// circuit through `executor` (which may be noisy and/or shot-limited).
-    ///
-    /// One `(state, circuit)` evolution per parameter set, fanned out over
-    /// the pool; the fused fast path is used whenever the executor's
-    /// configuration allows it.
-    pub fn probabilities_of_one(
-        &self,
-        executor: &Executor,
-        circuit: &FusedCircuit,
-        param_sets: &[Vec<f64>],
-        qubit: usize,
-        base_seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        let jobs: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
-        self.run_seeded_with_scratch(
-            base_seed,
-            jobs,
-            || StateVector::zero_state(circuit.num_qubits()),
-            |_, params, rng, scratch| {
-                executor.probability_of_one_compiled_reusing(circuit, params, qubit, rng, scratch)
-            },
-        )
-        .into_iter()
-        .collect()
-    }
-
-    /// Like [`BatchExecutor::probabilities_of_one`] but with a *different*
-    /// compiled circuit per job: each entry pairs a fused circuit with the
-    /// parameter vector to bind into it. This is the inference fan-out shape
-    /// — samples × classes, where every class owns its own precompiled
-    /// circuit — kept as one flat job list so per-job RNG streams stay a
-    /// pure function of `(base_seed, job index)` and results remain
-    /// bit-identical for any thread count.
-    pub fn probabilities_of_one_each(
-        &self,
-        executor: &Executor,
-        jobs: &[(&FusedCircuit, &[f64])],
-        qubit: usize,
-        base_seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        let width = jobs.first().map_or(1, |(c, _)| c.num_qubits());
-        let jobs: Vec<(&FusedCircuit, &[f64])> = jobs.to_vec();
-        self.run_seeded_with_scratch(
-            base_seed,
-            jobs,
-            // Jobs may carry different register widths; the scratch's
-            // buffer-reusing copy resizes on a width change, so sizing for
-            // the first job is only a warm start, never a constraint.
-            || StateVector::zero_state(width),
-            |_, (circuit, params), rng, scratch| {
-                executor.probability_of_one_compiled_reusing(circuit, params, qubit, rng, scratch)
-            },
-        )
-        .into_iter()
-        .collect()
-    }
-
-    /// Executes a compiled circuit to a final statevector for each parameter
-    /// set (ideal evolution — no noise, no shots), in parallel.
-    pub fn execute_statevectors(
-        &self,
-        circuit: &FusedCircuit,
-        param_sets: &[Vec<f64>],
-    ) -> Result<Vec<StateVector>, SimError> {
-        let jobs: Vec<&[f64]> = param_sets.iter().map(Vec::as_slice).collect();
-        self.run(jobs, |_, params, _| circuit.execute(params))
-            .into_iter()
-            .collect()
     }
 
     /// Samples `shots` full-register measurements for each parameter set,
@@ -339,34 +265,32 @@ mod tests {
     #[test]
     fn probabilities_match_direct_execution() {
         let circuit = ry_circuit();
-        let fused = FusedCircuit::compile(&circuit);
         let exec = Executor::ideal();
         let sets: Vec<Vec<f64>> = (0..6)
             .map(|i| vec![0.2 * i as f64, 1.0 - 0.1 * i as f64])
             .collect();
         let batch = BatchExecutor::new(4, 0);
-        let got = batch
-            .probabilities_of_one(&exec, &fused, &sets, 1, 0)
-            .unwrap();
-        for (params, p) in sets.iter().zip(got.iter()) {
+        let got = batch.run_seeded(0, sets.clone(), |_, params, rng| {
+            exec.probability_of_one(&circuit, &params, 1, rng)
+        });
+        for (params, p) in sets.iter().zip(got) {
             let direct = circuit
                 .execute(params)
                 .unwrap()
                 .probability_of_one(1)
                 .unwrap();
-            assert!((p - direct).abs() < 1e-12, "{p} vs {direct}");
+            assert_eq!(p.unwrap().to_bits(), direct.to_bits());
         }
     }
 
     #[test]
     fn execute_statevectors_matches_sequential() {
         let circuit = ry_circuit();
-        let fused = FusedCircuit::compile(&circuit);
         let sets: Vec<Vec<f64>> = vec![vec![0.1, 0.2], vec![1.5, -0.4], vec![3.0, 0.0]];
         let batch = BatchExecutor::new(8, 1);
-        let states = batch.execute_statevectors(&fused, &sets).unwrap();
-        for (params, sv) in sets.iter().zip(states.iter()) {
-            assert_eq!(sv, &fused.execute(params).unwrap());
+        let states = batch.run(sets.clone(), |_, params, _| circuit.execute(&params));
+        for (params, sv) in sets.iter().zip(states) {
+            assert_eq!(sv.unwrap(), circuit.execute(params).unwrap());
         }
     }
 
@@ -382,36 +306,31 @@ mod tests {
             c.h(0).rz_param(1, 0).cnot(1, 0);
             c
         };
-        let fused_a = FusedCircuit::compile(&a);
-        let fused_b = FusedCircuit::compile(&b);
         let pa = vec![0.4];
         let pb = vec![-1.1];
-        let jobs: Vec<(&FusedCircuit, &[f64])> =
-            vec![(&fused_a, &pa), (&fused_b, &pb), (&fused_a, &pb)];
-        let exec = Executor::ideal();
-        let mut reference = Vec::new();
-        for (circuit, params) in &jobs {
-            reference.push(
-                circuit
-                    .source()
-                    .execute(params)
+        let jobs: Vec<(&Circuit, &[f64])> = vec![(&a, &pa), (&b, &pb), (&a, &pb)];
+        let exec = Executor::ideal().with_shots(Some(64));
+        let reference: Vec<u64> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, (circuit, params))| {
+                let mut rng = StdRng::seed_from_u64(BatchExecutor::job_seed(5, i as u64));
+                exec.probability_of_one(circuit, params, 0, &mut rng)
                     .unwrap()
-                    .probability_of_one(0)
-                    .unwrap(),
-            );
-        }
-        let mut runs = Vec::new();
+                    .to_bits()
+            })
+            .collect();
         for threads in [1usize, 2, 8] {
-            let got = BatchExecutor::new(threads, 0)
-                .probabilities_of_one_each(&exec, &jobs, 0, 5)
-                .unwrap();
-            for (g, r) in got.iter().zip(reference.iter()) {
-                assert!((g - r).abs() < 1e-12, "{g} vs {r}");
-            }
-            runs.push(got.into_iter().map(f64::to_bits).collect::<Vec<_>>());
+            let got: Vec<u64> = BatchExecutor::new(threads, 0)
+                .run_seeded(5, jobs.clone(), |_, (circuit, params), rng| {
+                    exec.probability_of_one(circuit, params, 0, rng)
+                        .unwrap()
+                        .to_bits()
+                })
+                .into_iter()
+                .collect();
+            assert_eq!(got, reference, "{threads} threads");
         }
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
     }
 
     #[test]
@@ -465,9 +384,8 @@ mod tests {
         let mut c = Circuit::new(1);
         c.push(Gate::Ry(0, 0.0));
         c.ry_param(0, 5); // needs 6 params
-        let fused = FusedCircuit::compile(&c);
         let batch = BatchExecutor::new(2, 0);
-        let err = batch.execute_statevectors(&fused, &[vec![0.1]]);
-        assert!(matches!(err, Err(SimError::UnboundParameter { .. })));
+        let results = batch.run(vec![vec![0.1]], |_, params, _| c.execute(&params));
+        assert!(matches!(results[0], Err(SimError::UnboundParameter { .. })));
     }
 }

@@ -18,7 +18,6 @@
 use crate::circuit::Circuit;
 use crate::density::DensityMatrix;
 use crate::error::SimError;
-use crate::fusion::FusedCircuit;
 use crate::noise::NoiseModel;
 use crate::state::StateVector;
 use rand::Rng;
@@ -102,7 +101,12 @@ impl Executor {
     }
 
     /// Sets the number of measurement shots; `None` means exact expectation.
+    ///
+    /// # Panics
+    /// Panics if `shots` is `Some(0)`: zero repetitions estimate nothing,
+    /// so the mistake is rejected at construction, like zero trajectories.
     pub fn with_shots(mut self, shots: Option<usize>) -> Self {
+        assert!(shots != Some(0), "an executor needs at least one shot");
         self.shots = shots;
         self
     }
@@ -178,33 +182,15 @@ impl Executor {
         }
     }
 
-    /// Same as [`Executor::raw_probability_of_one`] but evaluating a
-    /// pre-compiled fused circuit. Fusion only serves the ideal state-vector
-    /// path — noisy trajectories interleave Kraus branches between gates and
-    /// density-matrix evolution binds per gate, so both fall back to the
-    /// fused circuit's [`FusedCircuit::source`].
-    fn raw_probability_of_one_compiled<R: Rng + ?Sized>(
-        &self,
-        fused: &FusedCircuit,
-        params: &[f64],
-        qubit: usize,
-        rng: &mut R,
-    ) -> Result<f64, SimError> {
-        if self.method == Method::StateVector && self.noise.is_ideal() {
-            let sv = fused.execute(params)?;
-            return sv.probability_of_one(qubit);
-        }
-        self.raw_probability_of_one(fused.source(), params, qubit, rng)
-    }
-
     /// Applies readout corruption and (if configured) shot sampling to an
-    /// exact probability.
-    fn sample_readout<R: Rng + ?Sized>(&self, p_true: f64, rng: &mut R) -> f64 {
+    /// exact probability of measuring |1⟩: the measurement step of every
+    /// estimate, also for callers that know that probability without
+    /// running a circuit.
+    pub fn sample_readout<R: Rng + ?Sized>(&self, p_true: f64, rng: &mut R) -> f64 {
         let p_read = self.noise.readout.corrupt_probability(p_true);
         match self.shots {
             None => p_read,
             Some(shots) => {
-                let shots = shots.max(1);
                 let mut ones = 0usize;
                 for _ in 0..shots {
                     if rng.gen::<f64>() < p_read {
@@ -227,47 +213,6 @@ impl Executor {
     ) -> Result<f64, SimError> {
         let p_true = self.raw_probability_of_one(circuit, params, qubit, rng)?;
         Ok(self.sample_readout(p_true, rng))
-    }
-
-    /// Estimates the probability that `qubit` measures |1⟩ through a
-    /// pre-compiled circuit: the fast path for workloads that evaluate one
-    /// circuit shape against many parameter vectors (training, batched
-    /// inference). Ideal state-vector runs execute the fused program; noisy
-    /// and density-matrix configurations transparently fall back to per-gate
-    /// evolution of the source circuit, so results are configuration-correct
-    /// either way.
-    pub fn probability_of_one_compiled<R: Rng + ?Sized>(
-        &self,
-        fused: &FusedCircuit,
-        params: &[f64],
-        qubit: usize,
-        rng: &mut R,
-    ) -> Result<f64, SimError> {
-        let p_true = self.raw_probability_of_one_compiled(fused, params, qubit, rng)?;
-        Ok(self.sample_readout(p_true, rng))
-    }
-
-    /// [`Executor::probability_of_one_compiled`] evaluating into a
-    /// caller-owned scratch statevector, so a loop over many evaluations
-    /// of one circuit shape (a batch worker, a serving thread) reuses one
-    /// amplitude buffer instead of allocating per evaluation. Bit-identical
-    /// to the non-reusing call; configurations the fused fast path cannot
-    /// serve (noise, density matrix) transparently fall back to it and
-    /// leave the scratch untouched.
-    pub fn probability_of_one_compiled_reusing<R: Rng + ?Sized>(
-        &self,
-        fused: &FusedCircuit,
-        params: &[f64],
-        qubit: usize,
-        rng: &mut R,
-        scratch: &mut StateVector,
-    ) -> Result<f64, SimError> {
-        if self.method == Method::StateVector && self.noise.is_ideal() {
-            fused.execute_reusing(params, scratch)?;
-            let p_true = scratch.probability_of_one(qubit)?;
-            return Ok(self.sample_readout(p_true, rng));
-        }
-        self.probability_of_one_compiled(fused, params, qubit, rng)
     }
 
     /// Estimates ⟨Z⟩ on a qubit: `1 - 2·P(1)`.
@@ -336,28 +281,6 @@ impl Executor {
             }
         }
         Ok(histogram.into_iter().collect())
-    }
-
-    /// Like [`Executor::sample_counts`] but through a pre-compiled circuit:
-    /// ideal state-vector runs execute the fused program once and sample
-    /// from the exact distribution; other configurations fall back to the
-    /// source circuit.
-    pub fn sample_counts_compiled<R: Rng + ?Sized>(
-        &self,
-        fused: &FusedCircuit,
-        params: &[f64],
-        shots: usize,
-        rng: &mut R,
-    ) -> Result<Vec<(usize, usize)>, SimError> {
-        if self.method == Method::StateVector && self.noise.is_ideal() {
-            let sv = fused.execute(params)?;
-            let mut histogram = std::collections::BTreeMap::new();
-            for _ in 0..shots {
-                *histogram.entry(sv.sample(rng)).or_insert(0usize) += 1;
-            }
-            return Ok(histogram.into_iter().collect());
-        }
-        self.sample_counts(fused.source(), params, shots, rng)
     }
 }
 
@@ -509,49 +432,27 @@ mod tests {
     }
 
     #[test]
-    fn compiled_path_matches_uncompiled_for_all_configs() {
-        let c = bell_circuit();
-        let fused = crate::fusion::FusedCircuit::compile(&c);
-        // Ideal: exact equality through the fused fast path.
-        let mut rng = StdRng::seed_from_u64(10);
-        let exec = Executor::ideal();
-        let a = exec.probability_of_one(&c, &[], 1, &mut rng).unwrap();
-        let b = exec
-            .probability_of_one_compiled(&fused, &[], 1, &mut rng)
-            .unwrap();
-        assert!((a - b).abs() < 1e-12);
-        // Noisy trajectories: identical RNG consumption (per-gate fallback),
-        // so identically seeded runs agree bit-for-bit.
-        let noisy = Executor::noisy(NoiseModel::depolarizing(0.02, 0.05, 0.0).unwrap())
-            .with_trajectories(20);
-        let mut r1 = StdRng::seed_from_u64(11);
-        let mut r2 = StdRng::seed_from_u64(11);
-        let a = noisy.probability_of_one(&c, &[], 1, &mut r1).unwrap();
-        let b = noisy
-            .probability_of_one_compiled(&fused, &[], 1, &mut r2)
-            .unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
-        // Density matrix: exact agreement.
-        let dm = Executor::noisy_density(NoiseModel::depolarizing(0.02, 0.05, 0.0).unwrap());
-        let a = dm.probability_of_one(&c, &[], 1, &mut rng).unwrap();
-        let b = dm
-            .probability_of_one_compiled(&fused, &[], 1, &mut rng)
-            .unwrap();
-        assert!((a - b).abs() < 1e-12);
+    #[should_panic(expected = "at least one shot")]
+    fn zero_shots_rejected_at_construction() {
+        let _ = Executor::ideal().with_shots(Some(0));
     }
 
     #[test]
-    fn compiled_sample_counts_sum_to_shots() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let fused = crate::fusion::FusedCircuit::compile(&bell_circuit());
-        let counts = Executor::ideal()
-            .sample_counts_compiled(&fused, &[], 2000, &mut rng)
-            .unwrap();
-        let total: usize = counts.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 2000);
-        for (outcome, count) in counts {
-            assert!(outcome == 0 || outcome == 3);
-            assert!((count as f64 / 2000.0 - 0.5).abs() < 0.05);
+    fn sample_readout_is_the_measurement_step_of_probability_of_one() {
+        let mut c = Circuit::new(1);
+        c.ry(0, 1.1);
+        let p = c.execute(&[]).unwrap().probability_of_one(0).unwrap();
+        let mut noise = NoiseModel::ideal();
+        noise.readout = crate::noise::ReadoutError::new(0.05, 0.1).unwrap();
+        for exec in [
+            Executor::ideal().with_shots(Some(300)),
+            Executor::noisy_density(noise).with_shots(Some(300)),
+        ] {
+            let direct = exec
+                .probability_of_one(&c, &[], 0, &mut StdRng::seed_from_u64(13))
+                .unwrap();
+            let read = exec.sample_readout(p, &mut StdRng::seed_from_u64(13));
+            assert_eq!(direct.to_bits(), read.to_bits());
         }
     }
 

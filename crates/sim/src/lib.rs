@@ -20,10 +20,6 @@
 //!   routing with CNOT accounting,
 //! * [`executor::Executor`] — the execution façade (ideal / noisy /
 //!   shot-sampled) consumed by the `quclassi` crate,
-//! * [`fusion::FusedCircuit`] — gate fusion: circuits compiled once into
-//!   dense `2^k × 2^k` unitaries (k ≤ 3) and reused across evaluations,
-//!   with [`fusion::BoundFusedCircuit`] for binding one parameter vector in
-//!   ahead of repeated replays,
 //! * [`batch::BatchExecutor`] — parallel batch evaluation over a scoped
 //!   thread pool with deterministic per-job RNG streams (results are
 //!   bit-identical for any thread count),
@@ -35,8 +31,8 @@
 //!   `Π_q |⟨φ_q|ψ_q⟩|²`; circuits of single-qubit gates fold straight into
 //!   it,
 //! * [`profile`] — opt-in kernel profiling counters (`QUCLASSI_PROFILE`):
-//!   fused-group invocations, dense vs diagonal vs permutation sweeps, and
-//!   amplitudes touched, at near-zero cost when disabled.
+//!   dense vs diagonal vs permutation sweeps and amplitudes touched, at
+//!   near-zero cost when disabled.
 //!
 //! ## Quick example
 //!
@@ -64,7 +60,6 @@ pub mod density;
 pub mod device;
 pub mod error;
 pub mod executor;
-pub mod fusion;
 pub mod gate;
 pub mod gemm;
 pub mod linalg;
@@ -84,7 +79,6 @@ pub mod prelude {
     pub use crate::device::{CouplingMap, DeviceModel};
     pub use crate::error::SimError;
     pub use crate::executor::{Executor, Method};
-    pub use crate::fusion::{BoundFusedCircuit, FusedCircuit};
     pub use crate::gate::Gate;
     pub use crate::gemm::StateMatrix;
     pub use crate::linalg::CMatrix;

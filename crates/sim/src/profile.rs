@@ -1,9 +1,9 @@
 //! Opt-in kernel profiling counters (`QUCLASSI_PROFILE`).
 //!
 //! The serving stack needs to answer "what did the simulator actually do
-//! for this traffic?" — how many fused-group invocations ran, how often
-//! the multiply-free diagonal/permutation specialisations fired versus
-//! full dense sweeps, and how many amplitudes those sweeps covered. This
+//! for this traffic?" — how often the multiply-free diagonal/permutation
+//! specialisations fired versus full dense sweeps, and how many amplitudes
+//! those sweeps covered. This
 //! module provides process-wide counters for exactly that, designed so
 //! the **disabled path costs one relaxed atomic load and a predictable
 //! branch per kernel invocation** — noise against the `O(2^n)` sweep the
@@ -20,11 +20,10 @@
 //!
 //! What is counted:
 //!
-//! * **fused groups** — dense group-unitary applications issued by
-//!   [`crate::fusion::FusedCircuit`] / [`crate::fusion::BoundFusedCircuit`]
-//!   (static or bound dynamic groups);
+//! * **fused groups** — always 0: no kernel fuses gates. The
+//!   field stays in [`SimProfile`] so readers of its totals keep working;
 //! * **dense sweeps** — full dense `2^k × 2^k` unitary applications (the
-//!   kernels behind gate application and fused groups);
+//!   kernel behind gate application);
 //! * **diagonal sweeps** — multiply-free phase-flip specialisations
 //!   (Z, S, S†, T, T†, CZ);
 //! * **permutation sweeps** — multiply-free amplitude-relabelling
@@ -40,7 +39,6 @@ use crate::gate::Gate;
 /// 0 = not probed yet, 1 = disabled, 2 = enabled.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
-static FUSED_GROUPS: AtomicU64 = AtomicU64::new(0);
 static DENSE_SWEEPS: AtomicU64 = AtomicU64::new(0);
 static DIAGONAL_SWEEPS: AtomicU64 = AtomicU64::new(0);
 static PERMUTATION_SWEEPS: AtomicU64 = AtomicU64::new(0);
@@ -78,14 +76,6 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Records one fused-group dense unitary invocation.
-#[inline]
-pub(crate) fn fused_group() {
-    if enabled() {
-        FUSED_GROUPS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Records one dense `2^k × 2^k` unitary sweep over `amplitudes` amplitudes.
 #[inline]
 pub(crate) fn dense_sweep(amplitudes: u64) {
@@ -118,7 +108,8 @@ pub(crate) fn specialized_sweep(gate: &Gate, amplitudes: u64) {
 /// All zeros unless profiling was enabled while kernels ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimProfile {
-    /// Fused-group dense unitary invocations (static + bound dynamic).
+    /// Fused-group invocations: always 0, since no kernel fuses gates.
+    /// Kept so code that builds or sums profiles field by field compiles.
     pub fused_groups: u64,
     /// Dense `2^k × 2^k` unitary sweeps.
     pub dense_sweeps: u64,
@@ -140,7 +131,7 @@ impl SimProfile {
 /// Reads the current counter values.
 pub fn snapshot() -> SimProfile {
     SimProfile {
-        fused_groups: FUSED_GROUPS.load(Ordering::Relaxed),
+        fused_groups: 0,
         dense_sweeps: DENSE_SWEEPS.load(Ordering::Relaxed),
         diagonal_sweeps: DIAGONAL_SWEEPS.load(Ordering::Relaxed),
         permutation_sweeps: PERMUTATION_SWEEPS.load(Ordering::Relaxed),
@@ -151,7 +142,6 @@ pub fn snapshot() -> SimProfile {
 /// Zeroes all counters. Not atomic across counters — only meaningful when
 /// no kernels are concurrently running (tests, controlled benchmarks).
 pub fn reset() {
-    FUSED_GROUPS.store(0, Ordering::Relaxed);
     DENSE_SWEEPS.store(0, Ordering::Relaxed);
     DIAGONAL_SWEEPS.store(0, Ordering::Relaxed);
     PERMUTATION_SWEEPS.store(0, Ordering::Relaxed);
@@ -162,7 +152,6 @@ pub fn reset() {
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
-    use crate::fusion::FusedCircuit;
     use crate::state::StateVector;
 
     /// All profiling behaviour in one test: the counters are process-wide,
@@ -202,19 +191,15 @@ mod tests {
         assert!(after.amplitudes_touched >= before.amplitudes_touched + 3 * 8);
         assert!(after.total_sweeps() >= before.total_sweeps() + 3);
 
-        // Fused execution records group invocations.
+        // Circuit execution goes through the same kernels; nothing fuses.
         let before = snapshot();
         let mut c = Circuit::new(2);
         c.h(0).ry_param(0, 0).ry_param(1, 1).cnot(0, 1);
-        let fused = FusedCircuit::compile(&c);
-        fused.execute(&[0.4, -0.9]).unwrap();
-        let bound = fused.bind(&[0.4, -0.9]).unwrap();
-        bound.execute();
+        c.execute(&[0.4, -0.9]).unwrap();
         let after = snapshot();
-        assert!(
-            after.fused_groups >= before.fused_groups + 2,
-            "fused + bound replay must each record group invocations"
-        );
+        assert!(after.dense_sweeps >= before.dense_sweeps + 3);
+        assert!(after.permutation_sweeps > before.permutation_sweeps);
+        assert_eq!(after.fused_groups, 0);
 
         set_enabled(false);
     }

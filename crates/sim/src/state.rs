@@ -28,7 +28,7 @@ use crate::linalg::CMatrix;
 use rand::Rng;
 
 /// Largest qubit count accepted by the dense-unitary kernels
-/// ([`StateVector::apply_k_qubit_matrix`] and fused-circuit execution):
+/// ([`StateVector::apply_k_qubit_matrix`]):
 /// scratch buffers are stack-allocated at `2^MAX_DENSE_QUBITS`.
 pub const MAX_DENSE_QUBITS: usize = 6;
 
@@ -61,10 +61,8 @@ impl Clone for StateVector {
     }
 
     /// Copies `source` into `self`, reusing the existing amplitude buffers
-    /// whenever their capacity suffices. This is what lets replay loops
-    /// (e.g. [`crate::fusion::BoundFusedCircuit::execute_reusing`]) start
-    /// every execution from a prelude state without a per-execution heap
-    /// allocation.
+    /// whenever their capacity suffices, so a loop that restarts from one
+    /// state allocates nothing per iteration.
     fn clone_from(&mut self, source: &Self) {
         self.num_qubits = source.num_qubits;
         self.re.clone_from(&source.re);
@@ -282,7 +280,7 @@ impl StateVector {
     ///
     /// Callers guarantee the operands are distinct and in range — this is
     /// the replay path of circuits whose gates were validated at bind time.
-    pub(crate) fn apply_gate_specialized(&mut self, gate: &Gate) -> bool {
+    fn apply_gate_specialized(&mut self, gate: &Gate) -> bool {
         match gate {
             Gate::I(_) => {}
             Gate::X(q) => self.apply_x(*q),
@@ -641,8 +639,7 @@ impl StateVector {
     /// Applies a dense 2^k × 2^k unitary (flat row-major slice) to the listed
     /// qubits without validating operands: callers guarantee distinct,
     /// in-range qubits, `k <= MAX_DENSE_QUBITS` and a matching matrix size.
-    /// This is the shared kernel behind gate application and fused-circuit
-    /// execution.
+    /// This is the shared kernel behind gate application.
     pub(crate) fn apply_unitary_unchecked(&mut self, qubits: &[usize], m: &[Complex]) {
         if !qubits.is_empty() {
             crate::profile::dense_sweep(self.dim() as u64);

@@ -5,9 +5,27 @@
 use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::circuit::Circuit;
 use quclassi_sim::executor::Executor;
-use quclassi_sim::fusion::FusedCircuit;
-use quclassi_sim::gate::Gate;
 use quclassi_sim::noise::NoiseModel;
+use rand::rngs::StdRng;
+
+/// `P(qubit = 1)` for every parameter set through `exec`, one job per set
+/// drawing from the stream of `(base, job index)`.
+fn probabilities_of_one(
+    batch: &BatchExecutor,
+    exec: &Executor,
+    circuit: &Circuit,
+    sets: &[Vec<f64>],
+    qubit: usize,
+    base: u64,
+) -> Vec<f64> {
+    batch
+        .run_seeded(base, sets.to_vec(), |_, params, rng: &mut StdRng| {
+            exec.probability_of_one(circuit, &params, qubit, rng)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap()
+}
 
 /// A 3-qubit parametric circuit with entanglement: RY layer + CNOT chain.
 fn parametric_circuit() -> Circuit {
@@ -33,7 +51,7 @@ fn param_grid(n: usize) -> Vec<Vec<f64>> {
 
 #[test]
 fn probabilities_are_bit_identical_across_1_2_and_8_threads() {
-    let fused = FusedCircuit::compile(&parametric_circuit());
+    let circuit = parametric_circuit();
     let sets = param_grid(24);
     // Exact, shot-limited, and noisy configurations all must be invariant.
     let configs = vec![
@@ -43,12 +61,17 @@ fn probabilities_are_bit_identical_across_1_2_and_8_threads() {
     ];
     for exec in configs {
         let run = |threads: usize| -> Vec<u64> {
-            BatchExecutor::new(threads, 0)
-                .probabilities_of_one(&exec, &fused, &sets, 2, 77)
-                .unwrap()
-                .into_iter()
-                .map(f64::to_bits)
-                .collect()
+            probabilities_of_one(
+                &BatchExecutor::new(threads, 0),
+                &exec,
+                &circuit,
+                &sets,
+                2,
+                77,
+            )
+            .into_iter()
+            .map(f64::to_bits)
+            .collect()
         };
         let one = run(1);
         assert_eq!(one, run(2), "2 threads diverged from 1");
@@ -122,16 +145,15 @@ fn batched_histograms_match_analytic_distribution_at_10k_shots() {
 
 #[test]
 fn batched_shot_probabilities_match_analytic_at_10k_shots() {
-    let fused = FusedCircuit::compile(&parametric_circuit());
+    let circuit = parametric_circuit();
     let sets = param_grid(8);
     let exec = Executor::ideal().with_shots(Some(10_000));
     let batch = BatchExecutor::new(4, 55);
     for qubit in 0..3 {
-        let estimates = batch
-            .probabilities_of_one(&exec, &fused, &sets, qubit, 1000 + qubit as u64)
-            .unwrap();
+        let estimates =
+            probabilities_of_one(&batch, &exec, &circuit, &sets, qubit, 1000 + qubit as u64);
         for (params, estimate) in sets.iter().zip(estimates.iter()) {
-            let exact = fused
+            let exact = circuit
                 .execute(params)
                 .unwrap()
                 .probability_of_one(qubit)
@@ -147,36 +169,12 @@ fn batched_shot_probabilities_match_analytic_at_10k_shots() {
 
 #[test]
 fn execute_statevectors_is_thread_count_invariant() {
-    let fused = FusedCircuit::compile(&parametric_circuit());
+    let circuit = parametric_circuit();
     let sets = param_grid(16);
-    let one = BatchExecutor::new(1, 0)
-        .execute_statevectors(&fused, &sets)
-        .unwrap();
-    let eight = BatchExecutor::new(8, 0)
-        .execute_statevectors(&fused, &sets)
-        .unwrap();
-    assert_eq!(one, eight);
-}
-
-#[test]
-fn compiled_noisy_fallback_matches_uncompiled_per_gate_path() {
-    // The compiled noisy path must walk gates exactly like the uncompiled
-    // one (same RNG consumption), so identically seeded runs agree.
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let circuit = {
-        let mut c = Circuit::new(2);
-        c.h(0).cnot(0, 1).push(Gate::Ry(1, 0.7));
-        c
+    let run = |threads: usize| {
+        BatchExecutor::new(threads, 0).run(sets.clone(), |_, params, _| {
+            circuit.execute(&params).unwrap()
+        })
     };
-    let fused = FusedCircuit::compile(&circuit);
-    let exec =
-        Executor::noisy(NoiseModel::depolarizing(0.05, 0.1, 0.02).unwrap()).with_trajectories(12);
-    let mut r1 = StdRng::seed_from_u64(5);
-    let mut r2 = StdRng::seed_from_u64(5);
-    let direct = exec.probability_of_one(&circuit, &[], 1, &mut r1).unwrap();
-    let compiled = exec
-        .probability_of_one_compiled(&fused, &[], 1, &mut r2)
-        .unwrap();
-    assert_eq!(direct.to_bits(), compiled.to_bits());
+    assert_eq!(run(1), run(8));
 }

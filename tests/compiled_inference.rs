@@ -1,7 +1,7 @@
 //! End-to-end regression suite for the compiled inference engine
 //! (`quclassi-infer`): the compiled artifact must reproduce the uncompiled
-//! serving path — bit-for-bit for deterministic analytic serving, to fusion
-//! tolerance for the exact SWAP test — for 1, 2 and 8 threads, and must
+//! serving path — bit-for-bit for deterministic serving, analytic or exact
+//! SWAP test — for 1, 2 and 8 threads, and must
 //! survive a round trip through `quclassi::io` persistence unchanged.
 
 use quclassi::io::{model_from_string, model_to_string};
@@ -102,7 +102,7 @@ fn compiled_swap_test_is_thread_invariant_and_matches_uncompiled() {
     let model = trained_iris_model();
     let estimator = FidelityEstimator::swap_test(Executor::ideal());
     let xs = probe_samples(4, 5);
-    // Uncompiled sequential reference (per-gate, unfused execution).
+    // Uncompiled sequential reference.
     let mut rng = StdRng::seed_from_u64(0);
     let reference: Vec<Vec<f64>> = xs
         .iter()
@@ -116,12 +116,7 @@ fn compiled_swap_test_is_thread_invariant_and_matches_uncompiled() {
             .predict_many(&xs, &BatchExecutor::new(threads, 0), 0)
             .unwrap();
         for (p, r) in predictions.iter().zip(reference.iter()) {
-            for (a, b) in p.fidelities.iter().zip(r.iter()) {
-                // Fused execution re-associates floating point; equality
-                // holds to fusion tolerance (the fusion_equivalence suite
-                // pins the same bound).
-                assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-            }
+            assert_eq!(&p.fidelities, r, "{threads} threads");
         }
         runs.push(
             predictions
