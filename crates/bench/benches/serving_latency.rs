@@ -1,19 +1,20 @@
 //! The serving-runtime benchmark: a closed-loop load generator driving
-//! `quclassi-serve` across an offered-load sweep, comparing **per-request
-//! serving** (`max_batch = 1` — what a naive server does) against
-//! **dynamic micro-batching** (`max_batch = 64`: the scheduler waits up to
-//! the batch window after the oldest queued request for a batch to fill).
-//! The sweep serves QC-SDE analytic models: an entangled artifact always
-//! reaches the scheduler, where a separable one would be answered on the
-//! admitting thread and never batch.
+//! `quclassi-serve` over 1, 2, 4 and 8 producers for four artifact kinds —
+//! QC-SDE Iris and QC-SDE MNIST-16 under the analytic estimator, QC-S
+//! Iris with 1024-shot SWAP tests, and QC-S Iris with 1024-shot SWAP tests
+//! under `ibmq_london` noise (trajectory simulation). Every request runs
+//! to completion on its producer's thread; only the noisy kind fans its
+//! classes out over the runtime's executor.
 //!
-//! Each cell of the sweep runs N closed-loop producer threads (every
-//! producer fires its next request the moment the previous one is
-//! answered) for a fixed request count against one runtime, then reads
-//! throughput and p50/p99 end-to-end latency from the runtime's own
-//! histogram. Before any timing, every workload asserts that served
-//! responses are **bit-identical** to direct `CompiledModel::predict_one`
-//! calls — serving must never change an answer.
+//! Each cell runs N closed-loop producer threads (every producer fires its
+//! next request the moment the previous one is answered) for a fixed
+//! request count against one runtime, then reads throughput and p50/p99
+//! end-to-end latency from the runtime's own histogram. Before any timing,
+//! every kind is checked against direct evaluation: deterministic kinds
+//! must be bit-identical to `CompiledModel::predict_one`, and sequential
+//! submission `i` of a stochastic kind must equal
+//! `predict_many_from_angles` on its angles with seed
+//! `job_seed(job_seed(0, i), 0)`.
 //!
 //! A second axis sweeps **open connections** (100 / 1k / 10k mostly-idle
 //! sockets) against the event-loop `WireServer`, measuring connection
@@ -38,6 +39,8 @@ use quclassi_serve::{
     OnlineConfig, OnlineLearner, ServeConfig, ServeRuntime, WireClient, WireConfig, WireServer,
 };
 use quclassi_sim::batch::BatchExecutor;
+use quclassi_sim::device::DeviceModel;
+use quclassi_sim::executor::Executor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -50,10 +53,12 @@ struct Workload {
     name: &'static str,
     total_qubits: usize,
     model: QuClassiModel,
+    estimator: FidelityEstimator,
     /// Distinct probe samples, cycled by every producer.
     pool: Vec<Vec<f64>>,
 }
 
+/// A workload served under the analytic estimator.
 fn workload(name: &'static str, config: QuClassiConfig) -> Workload {
     let dims = config.data_dim;
     let mut rng = StdRng::seed_from_u64(dims as u64);
@@ -70,6 +75,7 @@ fn workload(name: &'static str, config: QuClassiConfig) -> Workload {
         name,
         total_qubits,
         model,
+        estimator: FidelityEstimator::analytic(),
         pool,
     }
 }
@@ -78,18 +84,13 @@ fn workload(name: &'static str, config: QuClassiConfig) -> Workload {
 /// off, so the load generator measures honest evaluation throughput
 /// rather than cache hits.
 fn artifact(w: &Workload) -> CompiledModel {
-    CompiledModel::compile(&w.model, FidelityEstimator::analytic())
+    CompiledModel::compile(&w.model, w.estimator.clone())
         .unwrap()
         .with_cache_capacity(0)
 }
 
-fn serve_config(micro_batched: bool) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
-        // Per-request baseline: every flush carries exactly one request.
-        // Micro-batched: drain whatever accumulated (zero window — the
-        // batch forms naturally while the previous flush computes, so no
-        // idle wait is ever added).
-        max_batch: if micro_batched { 64 } else { 1 },
         batch_window: Duration::ZERO,
         queue_capacity: 4096,
         base_seed: 0,
@@ -97,16 +98,42 @@ fn serve_config(micro_batched: bool) -> ServeConfig {
     }
 }
 
-/// The batch window of the per-request vs micro-batched sweep: the
-/// runtime's default.
-const SWEEP_WINDOW: Duration = Duration::from_micros(200);
-
-/// The sweep's runtime config: `serve_config` with [`SWEEP_WINDOW`].
-fn sweep_config(micro_batched: bool) -> ServeConfig {
-    ServeConfig {
-        batch_window: SWEEP_WINDOW,
-        ..serve_config(micro_batched)
-    }
+/// The artifact kinds of the load sweep, with the architecture and
+/// estimator each is reported under.
+fn sweep_kinds() -> Vec<(Workload, &'static str, &'static str)> {
+    let shots = Executor::ideal().with_shots(Some(1024));
+    let noisy = Executor::noisy(DeviceModel::ibmq_london().noise).with_shots(Some(1024));
+    let iris = || workload("qc_s_iris", QuClassiConfig::qc_s(4, 3));
+    vec![
+        (
+            workload("qc_sde_iris_analytic", QuClassiConfig::qc_sde(4, 3)),
+            "QC-SDE",
+            "analytic",
+        ),
+        (
+            workload("qc_sde_mnist16_analytic", QuClassiConfig::qc_sde(16, 2)),
+            "QC-SDE",
+            "analytic",
+        ),
+        (
+            Workload {
+                name: "qc_s_iris_1024_shots",
+                estimator: FidelityEstimator::swap_test(shots),
+                ..iris()
+            },
+            "QC-S",
+            "swap_test_1024_shots",
+        ),
+        (
+            Workload {
+                name: "qc_s_iris_noisy_ibmq_london",
+                estimator: FidelityEstimator::swap_test(noisy),
+                ..iris()
+            },
+            "QC-S",
+            "swap_test_1024_shots_ibmq_london_trajectories",
+        ),
+    ]
 }
 
 struct CellResult {
@@ -118,18 +145,8 @@ struct CellResult {
 
 /// One closed-loop measurement: `producers` threads, each issuing
 /// `requests_per_producer` blocking predictions back to back.
-fn run_cell(
-    w: &Workload,
-    micro_batched: bool,
-    producers: usize,
-    requests_per_producer: usize,
-) -> CellResult {
-    run_cell_with(
-        serve_config(micro_batched),
-        w,
-        producers,
-        requests_per_producer,
-    )
+fn run_cell(w: &Workload, producers: usize, requests_per_producer: usize) -> CellResult {
+    run_cell_with(serve_config(), w, producers, requests_per_producer)
 }
 
 /// `run_cell` with an explicit runtime config — the observability cell
@@ -162,7 +179,7 @@ fn run_cell_with(
                         .predict("latency", x)
                         .map(|r| r.prediction.label)
                         .unwrap_or_else(|_| {
-                            unreachable!("closed-loop producers never saturate a 4096 queue")
+                            unreachable!("closed-loop producers never saturate a 4096 cap")
                         });
                 }
                 acc
@@ -191,19 +208,13 @@ fn run_cell_with(
 /// what the configuration can sustain.
 fn measure_cell(
     w: &Workload,
-    micro_batched: bool,
     producers: usize,
     requests_per_producer: usize,
     reps: usize,
 ) -> CellResult {
     let mut best: Option<CellResult> = None;
     for _ in 0..reps {
-        let r = run_cell_with(
-            sweep_config(micro_batched),
-            w,
-            producers,
-            requests_per_producer,
-        );
+        let r = run_cell(w, producers, requests_per_producer);
         best = match best {
             Some(b) if b.throughput_rps >= r.throughput_rps => Some(b),
             _ => Some(r),
@@ -212,33 +223,32 @@ fn measure_cell(
     best.expect("reps >= 1")
 }
 
-/// Serving must not change answers: responses through the runtime are
-/// bit-identical to direct compiled evaluation, for both sweep modes.
+/// Serving must not change answers: sequential submissions through the
+/// runtime equal direct evaluation — bit-identical to `predict_one` for a
+/// deterministic artifact, and for a stochastic one the evaluation of
+/// submission `i` on its own seed stream.
 fn assert_serving_consistency(w: &Workload) {
     let direct_artifact = artifact(w);
+    let executor = BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS");
+    let runtime = ServeRuntime::start(serve_config(), executor.clone()).unwrap();
+    runtime.deploy("consistency", artifact(w)).unwrap();
+    let client = runtime.client();
     let mut rng = StdRng::seed_from_u64(0);
-    let direct: Vec<_> = w
-        .pool
-        .iter()
-        .map(|x| direct_artifact.predict_one(x, &mut rng).unwrap())
-        .collect();
-    for micro_batched in [false, true] {
-        let runtime = ServeRuntime::start(
-            sweep_config(micro_batched),
-            BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS"),
-        )
-        .unwrap();
-        runtime.deploy("consistency", artifact(w)).unwrap();
-        let client = runtime.client();
-        for (x, want) in w.pool.iter().zip(direct.iter()) {
-            let got = client.predict("consistency", x).unwrap();
-            assert_eq!(
-                &got.prediction, want,
-                "served response diverged (micro_batched={micro_batched})"
-            );
-        }
-        runtime.shutdown();
+    for (i, x) in w.pool.iter().enumerate() {
+        let want = if direct_artifact.estimator().is_stochastic() {
+            let angles = direct_artifact.encoder().encoding_angles(x).unwrap();
+            let seed = BatchExecutor::job_seed(BatchExecutor::job_seed(0, i as u64), 0);
+            direct_artifact
+                .predict_many_from_angles(vec![angles], &executor, seed)
+                .unwrap()
+                .remove(0)
+        } else {
+            direct_artifact.predict_one(x, &mut rng).unwrap()
+        };
+        let got = client.predict("consistency", x).unwrap();
+        assert_eq!(got.prediction, want, "{}: request {i} diverged", w.name);
     }
+    runtime.shutdown();
 }
 
 fn bench_serving_roundtrip(c: &mut Criterion) {
@@ -247,7 +257,7 @@ fn bench_serving_roundtrip(c: &mut Criterion) {
     for (dims, classes) in [(4usize, 3usize), (16, 2)] {
         let w = workload("roundtrip", QuClassiConfig::qc_s(dims, classes));
         let runtime = ServeRuntime::start(
-            serve_config(true),
+            serve_config(),
             BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS"),
         )
         .unwrap();
@@ -285,56 +295,31 @@ fn emit_cell_json(producers: usize, requests: usize, label: &str, r: &CellResult
 fn emit_bench_json(smoke: bool) {
     let requests_per_producer = if smoke { 5 } else { 400 };
     let reps = if smoke { 1 } else { 3 };
-    // The sweep starts at two producers: one closed-loop producer can never
-    // have a second request in flight, so both modes degenerate to
-    // identical per-request serving and the comparison measures nothing.
-    let producer_sweep: &[usize] = if smoke { &[2] } else { &[2, 4, 8] };
+    let producer_sweep: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8] };
     let executor = BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS");
     let mut workload_entries = Vec::new();
-    for (name, dims, classes) in [
-        ("iris_4_features", 4usize, 3usize),
-        ("mnist_16_features", 16, 2),
-    ] {
-        let mut w = workload("latency", QuClassiConfig::qc_sde(dims, classes));
-        w.name = "latency";
-        assert_serving_consistency(&Workload {
-            name: "consistency",
-            total_qubits: w.total_qubits,
-            model: w.model.clone(),
-            pool: w.pool.clone(),
-        });
+    for (w, architecture, method) in sweep_kinds() {
+        assert_serving_consistency(&w);
         let mut cells = Vec::new();
-        let mut max_load_gain = 0.0f64;
         for &producers in producer_sweep {
             // Warm-up pass so thread spawn and first-touch costs are not
-            // attributed to either mode.
-            for micro_batched in [true, false] {
-                run_cell_with(
-                    sweep_config(micro_batched),
-                    &w,
-                    producers,
-                    requests_per_producer / 5 + 1,
-                );
-            }
-            let baseline = measure_cell(&w, false, producers, requests_per_producer, reps);
-            let batched = measure_cell(&w, true, producers, requests_per_producer, reps);
-            max_load_gain = batched.throughput_rps / baseline.throughput_rps;
+            // attributed to the cell.
+            run_cell(&w, producers, requests_per_producer / 5 + 1);
+            let r = measure_cell(&w, producers, requests_per_producer, reps);
             let total = producers * requests_per_producer;
-            cells.push(emit_cell_json(producers, total, "per_request", &baseline));
-            cells.push(emit_cell_json(producers, total, "micro_batched", &batched));
+            cells.push(emit_cell_json(producers, total, "closed_loop", &r));
         }
         workload_entries.push(format!(
             concat!(
-                "    {{\"workload\": \"{}\", \"total_qubits\": {}, \"architecture\": \"QC-SDE\", ",
-                "\"method\": \"analytic\", \"batch_window_us\": {}, ",
-                "\"threads\": {}, \"throughput_gain_at_max_load\": {:.2},\n",
+                "    {{\"workload\": \"{}\", \"total_qubits\": {}, \"architecture\": \"{}\", ",
+                "\"method\": \"{}\", \"threads\": {},\n",
                 "      \"sweep\": [\n{}\n      ]}}"
             ),
-            name,
+            w.name,
             w.total_qubits,
-            SWEEP_WINDOW.as_micros(),
+            architecture,
+            method,
             executor.threads(),
-            max_load_gain,
             cells.join(",\n")
         ));
     }
@@ -363,7 +348,7 @@ fn run_online_cell(
     max_cycles: u64,
 ) -> (CellResult, usize, u64, u64) {
     let runtime = ServeRuntime::start(
-        serve_config(true),
+        serve_config(),
         BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS"),
     )
     .unwrap();
@@ -419,7 +404,7 @@ fn run_online_cell(
                             .predict("latency", x)
                             .map(|r| r.prediction.label)
                             .unwrap_or_else(|_| {
-                                unreachable!("closed-loop producers never saturate a 4096 queue")
+                                unreachable!("closed-loop producers never saturate a 4096 cap")
                             }),
                     );
                     answered += 1;
@@ -455,8 +440,8 @@ fn emit_online_json(smoke: bool) -> String {
     let max_cycles = if smoke { 1 } else { 3 };
     let w = workload("latency", QuClassiConfig::qc_s(16, 2));
     // Warm-up, then baseline without any training alongside.
-    run_cell(&w, true, producers, requests_per_producer / 5 + 1);
-    let baseline = run_cell(&w, true, producers, requests_per_producer);
+    run_cell(&w, producers, requests_per_producer / 5 + 1);
+    let baseline = run_cell(&w, producers, requests_per_producer);
     let (online, answered, train_cycles, promotions) = run_online_cell(&w, producers, max_cycles);
     format!(
         concat!(
@@ -494,7 +479,7 @@ fn emit_observability_json(smoke: bool) -> String {
     let w = workload("latency", QuClassiConfig::qc_s(4, 3));
     let config_for = |trace_capacity: usize| ServeConfig {
         trace_capacity,
-        ..serve_config(true)
+        ..serve_config()
     };
     // The three states are compared *interleaved*, one rep of each per
     // round, not state-by-state: the differences under test are a few
@@ -622,7 +607,7 @@ fn run_wire_cell(
     pipelined: usize,
 ) -> WireCell {
     let runtime = ServeRuntime::start(
-        serve_config(true),
+        serve_config(),
         BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS"),
     )
     .unwrap();

@@ -151,10 +151,9 @@ impl DataEncoder {
     }
 
     /// Validates a *precomputed* angle vector (count and finiteness) without
-    /// touching a state. This is the admission-time check a serving frontend
-    /// runs before queueing a request whose angles were computed once at the
-    /// edge: by the time the batch scheduler binds them, they are known
-    /// good, so a malformed request can never poison a whole micro-batch.
+    /// touching a state. A batched evaluation runs it on every angle vector
+    /// before binding any of them, so a malformed entry rejects the call
+    /// instead of poisoning the batch.
     pub fn validate_angles(&self, angles: &[f64]) -> Result<(), QuClassiError> {
         if angles.len() != self.dim {
             return Err(QuClassiError::InvalidData(format!(

@@ -244,14 +244,6 @@ impl CompiledModel {
         self.config.num_classes
     }
 
-    /// Whether the artifact scores product states (a separable stack under
-    /// a deterministic estimator): every sample is scored inline, in
-    /// `O(qubits)` per class, with no batch-executor fan-out — so batching
-    /// it with other samples saves nothing.
-    pub fn scores_product_states(&self) -> bool {
-        matches!(self.classes, CompiledClasses::Product { .. }) && !self.estimator.is_stochastic()
-    }
-
     /// Whether results are answered from the fingerprint cache. Caching is
     /// disabled for stochastic estimators (shots / noise draw fresh
     /// randomness per query, which must never be replayed from a cache) and
@@ -964,33 +956,5 @@ mod tests {
         assert_eq!(cloned.cache_stats().entries, 1);
         assert_eq!(cloned.class_fidelities(&x, &mut rng).unwrap(), a);
         assert_eq!(cloned.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn only_separable_deterministic_artifacts_score_product_states() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let separable =
-            QuClassiModel::with_random_parameters(QuClassiConfig::qc_s(4, 2), &mut rng).unwrap();
-        let shots = FidelityEstimator::swap_test(Executor::ideal().with_shots(Some(64)));
-        for (model, estimator, product) in [
-            (&separable, FidelityEstimator::analytic(), true),
-            (
-                &separable,
-                FidelityEstimator::swap_test(Executor::ideal()),
-                true,
-            ),
-            (&separable, shots, false),
-            (
-                &separable,
-                FidelityEstimator::swap_test(Executor::noisy_density(
-                    quclassi_sim::noise::NoiseModel::depolarizing(0.01, 0.02, 0.0).unwrap(),
-                )),
-                false,
-            ),
-            (&trained_model(11), FidelityEstimator::analytic(), false),
-        ] {
-            let compiled = CompiledModel::compile(model, estimator).unwrap();
-            assert_eq!(compiled.scores_product_states(), product);
-        }
     }
 }

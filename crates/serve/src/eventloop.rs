@@ -15,14 +15,13 @@
 //!            ┌──────────────────────── shard 0 ───────────────────────┐
 //!  accept →  │ listener ─┐                                            │
 //!            │           ├─ epoll_wait ─ readable conns → FrameDecoder│
-//!            │ waker ────┘        │                          │        │
-//!            └─────────│──────────│──────────────────────────│────────┘
-//!                      │          │ control ops: answered    │ predict:
-//!   completions and    │          │ in-loop, in order        │ submit_with_notifier
-//!   inbox handoffs     │          ▼                          ▼
-//!   fire the eventfd ──┴── out-buffers ◀── responses ◀── micro-batching
-//!   waker                  (flushed as                   scheduler
-//!                           sockets drain)          (shared, all shards)
+//!            │ waker ────┘                                   │        │
+//!            └─────────│─────────────────────────────────────│────────┘
+//!   inbox handoffs     │           control ops answered in   │
+//!   and shutdown fire ─┘           the loop; predicts run on │
+//!   the eventfd waker              the shard (submit_wire)   ▼
+//!                        out-buffers ◀──────────── responses, in order
+//!                        (flushed as sockets drain)
 //! ```
 //!
 //! Shard 0 additionally owns the listener: it accepts, enforces the
@@ -32,25 +31,14 @@
 //! sockets round-robin to all shards through mutex-protected inboxes,
 //! waking the target shard's eventfd.
 //!
-//! ## Multiplexing
+//! ## Pipelining
 //!
-//! Control ops are answered synchronously inside the loop. A predict
-//! request is submitted with the shard's completion notifier (built once
-//! per shard), which fires the shard's waker. A predict the runtime runs
-//! to completion (a product-state artifact under a zero batch window, see
-//! [`crate::runtime`]) is evaluated on the shard during admission; the
-//! loop finds it answered, enqueues its response in the same readiness
-//! pass, and the notifier is never fired for it. Any other predict goes
-//! to the scheduler: the loop keeps serving other sockets, and when the
-//! waker fires it collects every completed prediction
-//! ([`PendingPrediction::take_if_ready`]), stamps each response with its
-//! request's echoed `"id"`, and enqueues it on the owning connection —
-//! which is how one connection can have many predictions in flight and
-//! receive responses out of submission order (the `"id"`, not arrival
-//! order, pairs them). A connection that disappears mid-flight is handled
-//! by generation tags: each adopted socket gets a fresh generation, and a
-//! completion whose slot generation no longer matches is dropped instead
-//! of being delivered to an unrelated peer that reused the slot.
+//! Every request is answered inside the loop, in the order its frame was
+//! read. Control ops are answered directly. A predict runs to completion on
+//! the shard during admission (see [`crate::runtime`]): its response, with
+//! the request's echoed `"id"`, is enqueued in the same readiness pass. A
+//! client may pipeline many frames on one connection; the echoed `"id"`
+//! pairs each response with its request.
 //!
 //! ## Deadlines without per-socket timers
 //!
@@ -68,7 +56,8 @@
 use crate::error::ServeError;
 use crate::json::Json;
 use crate::metrics::Gauge;
-use crate::runtime::{Client, CompletionNotifier, PendingPrediction, ResponseSlot, ServeResponse};
+use crate::runtime::{Answer, Client};
+use crate::trace::TraceState;
 use crate::wire::{
     append_frame, error_response, interpret, prediction_to_json, refuse_stream, trace_id_for,
     with_id, FrameDecoder, WireAction, WireConfig, ACCEPT_ERROR_BACKOFF, READ_CHUNK_BYTES,
@@ -157,10 +146,6 @@ impl WireServer {
         let mut shards = Vec::with_capacity(config.shards);
         for (index, poller) in pollers.into_iter().enumerate() {
             let waker = Arc::clone(&mailboxes[index].waker);
-            let notifier: CompletionNotifier = {
-                let waker = Arc::clone(&waker);
-                Arc::new(move || waker.wake())
-            };
             let shard_connections = client.metrics_registry().gauge(&format!(
                 "quclassi_wire_shard_connections{{shard=\"{index}\"}}"
             ));
@@ -171,16 +156,12 @@ impl WireServer {
                 listener: if index == 0 { listener.take() } else { None },
                 next_peer: 0,
                 client: client.clone(),
-                notifier,
                 config: config.clone(),
                 shutdown: Arc::clone(&shutdown),
                 open: Arc::clone(&open),
                 conns: Vec::new(),
                 free: Vec::new(),
-                pending: Vec::new(),
                 frames: Vec::new(),
-                touched: Vec::new(),
-                next_generation: 0,
                 sweep_interval: sweep_interval(&config),
                 last_sweep: Instant::now(),
                 shard_connections,
@@ -285,9 +266,6 @@ struct Conn {
     out_pos: usize,
     /// Interest currently registered with the poller.
     interest: poll::Interest,
-    /// Tags in-flight predictions so a completion cannot be delivered to
-    /// a different peer that reused this slot.
-    generation: u64,
     /// Last time bytes arrived (read-idle deadline).
     last_read: Instant,
     /// Last time buffered output shrank (write-stall deadline).
@@ -304,7 +282,7 @@ struct Conn {
     /// `written_total` reaches the recorded offset, the response's last
     /// byte hit the socket and its trace span is recorded. Offsets are
     /// enqueued in write order, so only the front is ever inspected.
-    trace_writes: VecDeque<(u64, Instant, Arc<ResponseSlot>)>,
+    trace_writes: VecDeque<(u64, Instant, TraceState)>,
 }
 
 impl Conn {
@@ -319,32 +297,20 @@ impl Conn {
         self.queued_total += 4 + payload.len() as u64;
     }
 
-    /// Enqueues a prediction's response under its echoed id and starts its
-    /// write stage, which runs from here to the moment the socket accepts
-    /// the response's last byte.
-    fn enqueue_prediction(
-        &mut self,
-        result: Result<ServeResponse, ServeError>,
-        id: Option<Json>,
-        trace: Arc<ResponseSlot>,
-    ) {
-        let response = match result {
+    /// Enqueues a prediction's response under its echoed id and, for an
+    /// admitted request, starts its write stage, which runs from here to
+    /// the moment the socket accepts the response's last byte.
+    fn enqueue_prediction(&mut self, answer: Answer, id: Option<Json>, trace: Option<TraceState>) {
+        let response = match answer {
             Ok(response) => prediction_to_json(&response),
             Err(e) => error_response(&e),
         };
         self.enqueue_frame(with_id(response, id).to_string().as_bytes());
-        self.trace_writes
-            .push_back((self.queued_total, Instant::now(), trace));
+        if let Some(trace) = trace {
+            self.trace_writes
+                .push_back((self.queued_total, Instant::now(), trace));
+        }
     }
-}
-
-/// A prediction in flight: which connection (and which tenancy of that
-/// slot) gets the response, and under which echoed id.
-struct PendingEntry {
-    slot: usize,
-    generation: u64,
-    id: Option<Json>,
-    handle: PendingPrediction,
 }
 
 struct Shard {
@@ -356,21 +322,14 @@ struct Shard {
     listener: Option<TcpListener>,
     next_peer: usize,
     client: Client,
-    /// Fires this shard's waker; shared by every predict the shard hands
-    /// to the scheduler.
-    notifier: CompletionNotifier,
     config: WireConfig,
     shutdown: Arc<AtomicBool>,
     /// Open connections across *all* shards (the connection-cap counter).
     open: Arc<AtomicUsize>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    pending: Vec<PendingEntry>,
     /// Reused per socket read: the frames one read completed.
     frames: Vec<Vec<u8>>,
-    /// Reused per wake: connections that received completions.
-    touched: Vec<usize>,
-    next_generation: u64,
     sweep_interval: Option<Duration>,
     last_sweep: Instant,
     /// `quclassi_wire_shard_connections{shard="N"}`: connections this
@@ -421,7 +380,6 @@ impl Shard {
             if woken {
                 self.mailboxes[self.index].waker.drain();
                 self.adopt_handoffs();
-                self.collect_completions();
             }
             if accept_ready {
                 self.accept_ready();
@@ -432,8 +390,7 @@ impl Shard {
             self.maybe_sweep();
         }
         // Teardown: every owned connection closes (streams drop) and
-        // leaves the cap; in-flight predictions resolve into dropped
-        // slots (the scheduler still answers them — nobody is listening).
+        // leaves the cap.
         let drained = self.conns.drain(..).flatten().count();
         for _ in 0..drained {
             self.open.fetch_sub(1, Ordering::Relaxed);
@@ -527,7 +484,6 @@ impl Shard {
                 self.sync_open_gauge();
                 continue;
             }
-            self.next_generation += 1;
             self.shard_connections.add(1);
             let now = Instant::now();
             self.conns[slot] = Some(Conn {
@@ -536,7 +492,6 @@ impl Shard {
                 out: Vec::new(),
                 out_pos: 0,
                 interest: poll::Interest::READABLE,
-                generation: self.next_generation,
                 last_read: now,
                 last_write: now,
                 closing: false,
@@ -545,30 +500,6 @@ impl Shard {
                 trace_writes: VecDeque::new(),
             });
         }
-    }
-
-    /// Delivers every completed prediction to its (still-live, same
-    /// tenancy) connection.
-    fn collect_completions(&mut self) {
-        let mut touched = std::mem::take(&mut self.touched);
-        let mut i = 0;
-        while i < self.pending.len() {
-            let Some(result) = self.pending[i].handle.take_if_ready() else {
-                i += 1;
-                continue;
-            };
-            let entry = self.pending.swap_remove(i);
-            if let Some(conn) = self.conns.get_mut(entry.slot).and_then(Option::as_mut) {
-                if conn.generation == entry.generation {
-                    conn.enqueue_prediction(result, entry.id, entry.handle.trace_slot());
-                    touched.push(entry.slot);
-                }
-            }
-        }
-        for slot in touched.drain(..) {
-            self.flush(slot);
-        }
-        self.touched = touched;
     }
 
     /// Services one connection's readiness events.
@@ -659,34 +590,14 @@ impl Shard {
                 features,
                 id,
             } => {
-                let submitted = self.client.submit_wire(
-                    &model,
-                    &features,
-                    Some(Arc::clone(&self.notifier)),
-                    trace_id_for(id.as_ref()),
-                );
-                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                    return; // connection died mid-batch
-                };
-                match submitted {
-                    // Run to completion during admission: respond in this
-                    // same readiness pass.
-                    Ok(handle) => match handle.take_if_ready() {
-                        Some(result) => conn.enqueue_prediction(result, id, handle.trace_slot()),
-                        None => self.pending.push(PendingEntry {
-                            slot,
-                            generation: conn.generation,
-                            id,
-                            handle,
-                        }),
-                    },
-                    // Admission errors (saturated, unknown model, bad
-                    // features) answer immediately, id attached, and the
-                    // connection lives on.
-                    Err(e) => {
-                        let response = with_id(error_response(&e), id);
-                        conn.enqueue_frame(response.to_string().as_bytes());
-                    }
+                // Runs to completion here. Admission errors (saturated,
+                // unknown model, bad features) answer the same way, id
+                // attached, and the connection lives on.
+                let (answer, trace) =
+                    self.client
+                        .submit_wire(&model, &features, trace_id_for(id.as_ref()));
+                if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+                    conn.enqueue_prediction(answer, id, trace);
                 }
             }
         }
@@ -697,7 +608,7 @@ impl Shard {
     /// socket accepted, then reconciles poller interest (and closes
     /// drained `closing` conns).
     fn flush(&mut self, slot: usize) {
-        let mut finished: Vec<(Arc<ResponseSlot>, u64)> = Vec::new();
+        let mut finished: Vec<(TraceState, u64)> = Vec::new();
         let mut close_after = false;
         loop {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
@@ -724,9 +635,9 @@ impl Shard {
                         .front()
                         .is_some_and(|(target, _, _)| *target <= conn.written_total)
                     {
-                        let (_, enqueued, response_slot) =
+                        let (_, enqueued, trace) =
                             conn.trace_writes.pop_front().expect("front exists");
-                        finished.push((response_slot, enqueued.elapsed().as_nanos() as u64));
+                        finished.push((trace, enqueued.elapsed().as_nanos() as u64));
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -739,8 +650,8 @@ impl Shard {
         }
         // Record outside the connection borrow: delivered responses keep
         // their spans even when the connection dies right after.
-        for (response_slot, write_ns) in finished {
-            self.client.finish_wire_write(&response_slot, write_ns);
+        for (trace, write_ns) in finished {
+            self.client.finish_wire_write(&trace, write_ns);
         }
         if close_after {
             self.close(slot);
@@ -806,10 +717,9 @@ impl Shard {
     }
 
     /// Releases a connection: poller registration, slot, cap count. The
-    /// stream drops (closes) here; pending predictions for the slot are
-    /// left to resolve and are discarded by the generation check, and
-    /// undelivered responses' trace spans drop with the connection (an
-    /// undelivered response has no write-stage completion to stamp).
+    /// stream drops (closes) here, and undelivered responses' trace spans
+    /// drop with the connection (an undelivered response has no
+    /// write-stage completion to stamp).
     fn close(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
             return;

@@ -34,7 +34,7 @@ pub enum Fault {
     /// must trigger an automatic rollback.
     CorruptCandidate,
     /// Compilation stalls for the given number of milliseconds, overlapping
-    /// the next traffic the scheduler serves. Serving must be unaffected.
+    /// the next traffic the runtime serves. Serving must be unaffected.
     SlowCompileMs(u64),
     /// The promotion gate reports "pass" regardless of measurements —
     /// the lever that lets a corrupted candidate through so rollback can

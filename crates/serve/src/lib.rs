@@ -2,26 +2,27 @@
 //!
 //! The serving runtime for compiled QuClassi models: the layer that turns
 //! the immutable [`quclassi_infer::CompiledModel`] artifact into a system
-//! that accepts concurrent requests, batches them, and answers under load.
+//! that accepts concurrent requests and answers them under load.
 //!
 //! The QuClassi deployment regime (Stein et al., MLSys 2022) is
 //! read-heavy: one trained model, millions of cheap fidelity-based
 //! queries. This crate supplies the missing runtime between "an artifact
 //! that can score a batch" and "a server":
 //!
-//! * **Admission control & backpressure** — a bounded request queue that
-//!   rejects (with a retryable, explicit error) instead of buffering
-//!   without bound when the offered load exceeds capacity.
-//! * **Dynamic micro-batching** — a scheduler that drains queued requests
-//!   into [`quclassi_infer::CompiledModel::predict_many_from_angles`]
-//!   fan-outs over a shared [`quclassi_sim::batch::BatchExecutor`],
-//!   flushing on a batch-size target or a deadline window
-//!   (`QUCLASSI_MAX_BATCH` / `QUCLASSI_BATCH_WINDOW_US`).
+//! * **Admission control & backpressure** — an admission gate that
+//!   rejects (with a retryable, explicit error) once `queue_capacity`
+//!   requests are in flight, instead of buffering without bound.
+//! * **Run to completion** — every request is evaluated on the thread that
+//!   admits it (the caller, or a wire shard) through
+//!   [`quclassi_infer::CompiledModel::predict_many_from_angles`]. QuClassi
+//!   scores each sample on its own, so there is nothing to batch; only
+//!   artifacts that simulate noisy circuits fan their classes out over a
+//!   shared [`quclassi_sim::batch::BatchExecutor`].
 //! * **Multi-model registry** — named models with versioned, zero-downtime
 //!   hot-swap (load → warm → atomic switch → drain old) and per-model
 //!   stats.
-//! * **Metrics** — lock-free p50/p90/p99 latency histograms, queue depth,
-//!   batch occupancy, throughput, and per-model cache hit rates.
+//! * **Metrics** — lock-free p50/p90/p99 latency histograms, in-flight
+//!   requests, throughput, and per-model cache hit rates.
 //! * **Two frontends** — the in-process [`Client`] handle (primary,
 //!   test-friendly), and a minimal length-prefixed-JSON TCP protocol
 //!   ([`WireServer`] / [`WireClient`]) with graceful shutdown, no
@@ -38,9 +39,9 @@
 //! Serving never changes answers: for deterministic estimators, a
 //! response is bit-identical to calling
 //! [`quclassi_infer::CompiledModel::predict_one`] directly on the same
-//! artifact — regardless of batch window, batch size, thread count, or
-//! how concurrent requests interleave (pinned by the `serving` stress
-//! suite in the workspace `tests` crate).
+//! artifact — regardless of executor thread count or how concurrent
+//! requests interleave (pinned by the `serving` stress suite in the
+//! workspace `tests` crate).
 //!
 //! ## Quickstart
 //!
@@ -102,9 +103,7 @@ pub use metrics::{
 };
 pub use online::{CycleOutcome, CycleReport, OnlineConfig, OnlineLearner, OnlineReport};
 pub use registry::{ModelEntry, ModelRegistry};
-pub use runtime::{
-    Client, CompletionNotifier, PendingPrediction, ServeConfig, ServeResponse, ServeRuntime,
-};
+pub use runtime::{Client, PendingPrediction, ServeConfig, ServeResponse, ServeRuntime};
 pub use shadow::ShadowReport;
 pub use trace::{TraceRing, TraceSpan, DEFAULT_TRACE_CAPACITY};
 pub use wire::{FrameDecoder, WireClient, WireConfig, WirePrediction};

@@ -620,7 +620,9 @@ pub struct ModelStatsSnapshot {
     pub latency: HistogramSnapshot,
 }
 
-/// Why the scheduler flushed a micro-batch.
+/// Why a flush happened. Every request runs to completion as a flush of
+/// one, counted as [`FlushReason::Deadline`]; the other reasons are kept
+/// so their counters keep their series and read 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushReason {
     /// The batch reached the configured size target.
@@ -740,14 +742,13 @@ macro_rules! runtime_metrics {
                 &self,
                 uptime: Duration,
                 queue_capacity: usize,
-                peak_queue_depth: usize,
                 draining_models: usize,
                 models: Vec<ModelMetrics>,
             ) -> MetricsSnapshot {
                 MetricsSnapshot {
                     uptime,
                     queue_capacity,
-                    peak_queue_depth,
+                    peak_queue_depth: 0,
                     draining_models,
                     $($field: series!(read $kind, self.$field),)+
                     models,
@@ -761,9 +762,11 @@ macro_rules! runtime_metrics {
         pub struct MetricsSnapshot {
             /// Time since the runtime started.
             pub uptime: Duration,
-            /// Configured queue capacity.
+            /// Configured cap on requests admitted and not yet answered
+            /// (`ServeConfig::queue_capacity`).
             pub queue_capacity: usize,
-            /// High-water mark of the queue depth.
+            /// High-water mark of the queue depth: always 0, since no
+            /// request is queued.
             pub peak_queue_depth: usize,
             /// Retired (hot-swapped-out) versions still serving in-flight
             /// requests.
@@ -782,7 +785,7 @@ macro_rules! runtime_metrics {
 }
 
 runtime_metrics! {
-    /// Requests admitted to the queue.
+    /// Requests admitted by the admission gate.
     admitted: counter "quclassi_serve_admitted_total" => "admitted",
     /// Requests rejected at admission (unknown model, invalid input,
     /// saturation, or shutdown): `admitted + rejected` reconstructs the
@@ -792,15 +795,15 @@ runtime_metrics! {
     completed: counter "quclassi_serve_completed_total" => "completed",
     /// Requests that failed during evaluation.
     failed: counter "quclassi_serve_failed_total" => "failed",
-    /// Micro-batches flushed.
+    /// Flushes: one per evaluated request (no request is batched).
     batches: counter "quclassi_serve_batches_total" => "batches",
-    /// Total requests across all flushed batches.
+    /// Total requests across all flushes (equal to `batches`).
     batched_requests: counter "quclassi_serve_batched_requests_total" => "batched_requests",
-    /// Batches flushed because the size target was reached.
+    /// Flushes that reached a size target: always 0.
     flush_on_size: counter "quclassi_serve_flush_size_total" => "flush_on_size",
-    /// Batches flushed because the batching window expired.
+    /// Flushes of one: every evaluated request.
     flush_on_deadline: counter "quclassi_serve_flush_deadline_total" => "flush_on_deadline",
-    /// Batches flushed while draining at shutdown.
+    /// Flushes while draining at shutdown: always 0.
     flush_on_close: counter "quclassi_serve_flush_close_total" => "flush_on_close",
     /// Connections refused at the wire boundary (over the connection cap)
     /// with a retryable `saturated` error frame.
@@ -822,14 +825,14 @@ runtime_metrics! {
     train_cycles: counter "quclassi_online_train_cycles_total" => "train_cycles",
     /// Trainer panics caught and survived by the online learner.
     learner_panics: counter "quclassi_online_learner_panics_total" => "learner_panics",
-    /// Scheduler flushes mirrored to a shadow candidate.
+    /// Requests mirrored to a shadow candidate, failed mirrors included.
     shadow_batches: counter "quclassi_online_shadow_batches_total" => "shadow_batches",
     /// Requests duplicated onto a shadow candidate (user responses always
     /// come from the live model only).
     shadow_requests: counter "quclassi_online_shadow_requests_total" => "shadow_requests",
-    /// Requests currently queued (mirrors the bounded queue's occupancy).
+    /// Requests currently queued: always 0, since no request is queued.
     queue_depth: gauge "quclassi_serve_queue_depth" => "queue_depth",
-    /// Requests admitted but not yet answered (queued or mid-evaluation).
+    /// Requests admitted but not yet answered (mid-evaluation).
     in_flight: gauge "quclassi_serve_in_flight" => "in_flight",
     /// Open wire connections across all frontends and shards.
     wire_connections: gauge "quclassi_wire_connections" => "wire_connections",
@@ -843,11 +846,11 @@ runtime_metrics! {
     latency: histogram "quclassi_serve_latency_ns" => "latency",
     /// Admission-side encoding (feature → rotation angles) stage.
     stage_encode: histogram "quclassi_serve_stage_encode_ns" => "stages.encode",
-    /// Queue-wait stage (admission → scheduler pickup).
+    /// Queue-wait stage: never recorded, since no request is queued.
     stage_queue_wait: histogram "quclassi_serve_stage_queue_wait_ns" => "stages.queue_wait",
-    /// Scheduler batch-assembly stage (drain → group → dispatch).
+    /// Batch-assembly stage: never recorded, since no request is batched.
     stage_assemble: histogram "quclassi_serve_stage_assemble_ns" => "stages.assemble",
-    /// Batch compute stage (the `predict_many_from_angles` call).
+    /// Compute stage (the `predict_many_from_angles` call).
     stage_compute: histogram "quclassi_serve_stage_compute_ns" => "stages.compute",
     /// Wire write stage (response enqueued → bytes drained to the socket);
     /// empty for in-process requests, which have no write stage.
@@ -967,9 +970,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Mean number of requests per flushed micro-batch (0.0 before the
-    /// first flush). The headline batching-efficiency number: 1.0 means
-    /// the scheduler is degenerating to per-request serving.
+    /// Mean number of requests per flush (0.0 before the first flush):
+    /// 1.0, since every request is a flush of one.
     pub fn mean_batch_occupancy(&self) -> f64 {
         if self.batches == 0 {
             0.0

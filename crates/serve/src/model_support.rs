@@ -6,25 +6,23 @@
 //! checker instead of `std::sync`. This module gives the `tests/model_*.rs`
 //! integration tests three things the crate's normal API hides:
 //!
-//! 1. **Probes** — thin in-crate wrappers ([`QueueProbe`], [`SlotProbe`],
-//!    [`SwapProbe`]) over `pub(crate)` protocol types so the tests can
-//!    drive them without widening the crate's public API.
+//! 1. **Probes** — thin in-crate wrappers ([`QueueProbe`], [`SwapProbe`])
+//!    over `pub(crate)` protocol types so the tests can drive them without
+//!    widening the crate's public API.
 //! 2. **Mutation flags** ([`mutations`]) — process-global switches the
 //!    `#[should_panic]` mutation proofs flip to weaken exactly one
-//!    ordering / fence / notify placement (see [`crate::mutation`]) and
+//!    ordering / fence / lock scope / drain condition (see
+//!    [`crate::mutation`]) and
 //!    prove the checker detects the resulting bug.
 //! 3. **A serialising harness** ([`check_protocol`]) — sets the requested
 //!    mutation flags, runs an exploration with `QUCLASSI_QUICK`-aware
 //!    bounds, and restores the flags even when the exploration panics
 //!    (which, for mutation proofs, is the point).
 
-use crate::error::ServeError;
-use crate::queue::BoundedQueue;
-use crate::runtime::ResponseSlot;
+use crate::queue::AdmissionGate;
 use crate::swap::SwapMap;
 use std::sync::atomic::Ordering as StdOrdering;
 use std::sync::Mutex as StdMutex;
-use std::time::Duration;
 
 /// Process-global mutation flags consulted by [`crate::mutation`] under
 /// `--cfg quclassi_model`.
@@ -47,21 +45,15 @@ pub mod mutations {
     pub const SEQLOCK_SKIP_CHECKSUM: usize = 2;
     /// Weakens the `LatencyHistogram` nanosecond-sum publish to `Relaxed`.
     pub const HISTOGRAM_TOTAL_RELAXED: usize = 3;
-    /// Makes `BoundedQueue::try_push` notify before publishing the item.
-    pub const QUEUE_NOTIFY_EARLY: usize = 4;
-    /// Makes `ResponseSlot::fulfill` notify before publishing the result.
-    pub const SLOT_NOTIFY_EARLY: usize = 5;
     /// Makes `SwapMap::publish` drop the write lock between version
     /// assignment and insert.
-    pub const SWAP_SPLIT_PUBLISH: usize = 6;
-    /// Makes `BoundedQueue::pop_batch` report a closed, empty queue as
-    /// drained while a run-to-completion request is still running.
-    pub const QUEUE_IGNORE_RUNNING: usize = 7;
+    pub const SWAP_SPLIT_PUBLISH: usize = 4;
+    /// Makes `AdmissionGate::wait_drained` report a closed gate as drained
+    /// while an admitted request is still running.
+    pub const QUEUE_IGNORE_RUNNING: usize = 5;
 
-    pub(super) const COUNT: usize = 8;
+    pub(super) const COUNT: usize = 6;
     pub(super) static FLAGS: [AtomicBool; COUNT] = [
-        AtomicBool::new(false),
-        AtomicBool::new(false),
         AtomicBool::new(false),
         AtomicBool::new(false),
         AtomicBool::new(false),
@@ -124,93 +116,39 @@ where
     builder.check(f);
 }
 
-/// In-crate driver for the `pub(crate)` [`BoundedQueue`] protocol.
+/// In-crate probe of the `pub(crate)` [`AdmissionGate`] protocol.
 pub struct QueueProbe {
-    queue: BoundedQueue<u32>,
+    gate: AdmissionGate,
 }
 
 impl QueueProbe {
-    /// A queue of the given capacity (must be ≥ 1).
+    /// A gate of the given capacity (must be ≥ 1).
     pub fn new(capacity: usize) -> Self {
         QueueProbe {
-            queue: BoundedQueue::new(capacity),
-        }
-    }
-
-    /// `try_push`; `Ok(())` on admit, `Err(true)` when saturated,
-    /// `Err(false)` when shut down.
-    pub fn push(&self, value: u32) -> Result<(), bool> {
-        match self.queue.try_push(value, || {}) {
-            Ok(()) => Ok(()),
-            Err(ServeError::Saturated { .. }) => Err(true),
-            Err(_) => Err(false),
+            gate: AdmissionGate::new(capacity),
         }
     }
 
     /// Admits a request that runs to completion on this thread, runs `f`
-    /// as its evaluation, then finishes it; `Err(false)` when shut down
-    /// (`f` does not run).
+    /// as its evaluation, then finishes it; `Err(true)` when saturated,
+    /// `Err(false)` when shut down (`f` does not run either way).
     pub fn run_inline(&self, f: impl FnOnce()) -> Result<(), bool> {
-        let _running = self.queue.admit_inline(|| {}).map_err(|_| false)?;
+        let _running = self
+            .gate
+            .admit(|| {})
+            .map_err(|e| matches!(e, crate::ServeError::Saturated { .. }))?;
         f();
         Ok(())
     }
 
-    /// `pop_batch` with a zero window (the model's condvar treats timed
-    /// waits as immediate timeouts, so only the zero-window fast path is
-    /// meaningfully explorable).
-    pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<u32>> {
-        self.queue
-            .pop_batch(max_batch, Duration::ZERO)
-            .map(|(items, _)| items)
-    }
-
-    /// Closes the queue.
+    /// Closes the gate.
     pub fn close(&self) {
-        self.queue.close();
+        self.gate.close();
     }
 
-    /// Current depth.
-    pub fn depth(&self) -> usize {
-        self.queue.depth()
-    }
-}
-
-/// In-crate driver for the `pub(crate)` `ResponseSlot` rendezvous.
-#[derive(Debug, Clone)]
-pub struct SlotProbe {
-    slot: crate::quclassi_sync::Arc<ResponseSlot>,
-}
-
-impl SlotProbe {
-    /// A fresh, unfulfilled slot (no completion notifier).
-    pub fn new() -> Self {
-        SlotProbe {
-            slot: crate::quclassi_sync::Arc::new(ResponseSlot::model_new()),
-        }
-    }
-
-    /// Fulfils the slot with a `ShutDown` error (the cheapest result to
-    /// construct; the rendezvous does not care which result it carries).
-    pub fn fulfill(&self) {
-        self.slot.fulfill(Err(ServeError::ShutDown));
-    }
-
-    /// Blocks until fulfilled; `true` iff the carried result was the
-    /// `ShutDown` error the probe publishes.
-    pub fn wait(&self) -> bool {
-        matches!(self.slot.wait(), Err(ServeError::ShutDown))
-    }
-
-    /// Non-blocking readiness check.
-    pub fn is_ready(&self) -> bool {
-        self.slot.is_ready()
-    }
-}
-
-impl Default for SlotProbe {
-    fn default() -> Self {
-        Self::new()
+    /// Blocks until the gate is closed and no admitted request runs.
+    pub fn wait_drained(&self) {
+        self.gate.wait_drained();
     }
 }
 

@@ -1,7 +1,8 @@
 //! Mutation points for the model-check mutation proofs.
 //!
 //! Each function below pins one deliberately weakenable decision in a
-//! concurrent protocol: a memory ordering, a fence, a notify placement.
+//! concurrent protocol: a memory ordering, a fence, a lock scope, a drain
+//! condition.
 //! In normal builds they are `const fn`s returning the shipped (correct)
 //! choice — the call sites compile to exactly the constants they used
 //! before this module existed, so release binaries are unchanged. Under
@@ -43,26 +44,11 @@ mod imp {
         Ordering::Release
     }
 
-    /// Whether `BoundedQueue::try_push` notifies *before* publishing the
-    /// item (a lost-wakeup bug). Shipped: no — notify after unlock.
-    #[inline(always)]
-    pub(crate) const fn queue_notify_early() -> bool {
-        false
-    }
-
-    /// Whether `BoundedQueue::pop_batch` reports a closed, empty queue as
-    /// drained while a request admitted to run to completion is still
-    /// running (shutdown returning before that request is answered).
-    /// Shipped: no.
+    /// Whether `AdmissionGate::wait_drained` reports a closed gate as
+    /// drained while an admitted request is still running (shutdown
+    /// returning before that request is answered). Shipped: no.
     #[inline(always)]
     pub(crate) const fn queue_ignore_running() -> bool {
-        false
-    }
-
-    /// Whether `ResponseSlot::fulfill` notifies *before* publishing the
-    /// result (a lost-wakeup bug). Shipped: no.
-    #[inline(always)]
-    pub(crate) const fn slot_notify_early() -> bool {
         false
     }
 
@@ -104,16 +90,8 @@ mod imp {
         }
     }
 
-    pub(crate) fn queue_notify_early() -> bool {
-        mutations::active(mutations::QUEUE_NOTIFY_EARLY)
-    }
-
     pub(crate) fn queue_ignore_running() -> bool {
         mutations::active(mutations::QUEUE_IGNORE_RUNNING)
-    }
-
-    pub(crate) fn slot_notify_early() -> bool {
-        mutations::active(mutations::SLOT_NOTIFY_EARLY)
     }
 
     pub(crate) fn swap_split_publish() -> bool {

@@ -65,7 +65,7 @@ pub struct OnlineConfig {
     /// Fraction of each window held out for the accuracy gates (clamped so
     /// both sides keep at least one sample).
     pub holdout_fraction: f64,
-    /// Fraction of scheduler flushes mirrored onto the candidate during
+    /// Fraction of live requests mirrored onto the candidate during
     /// shadow evaluation, in `(0, 1]`.
     pub shadow_rate: f64,
     /// Mirrored requests required before the latency gate may pass. `0`
@@ -517,7 +517,7 @@ impl Drop for OnlineLearner {
 
 /// The learner thread body: one gated train→shadow→promote cycle per
 /// iteration. Never touches user-visible responses; all its evaluation
-/// runs on the trainer's own executor, not the scheduler's.
+/// runs on the trainer's own executor, not the runtime's.
 #[allow(clippy::too_many_arguments)]
 fn learner_loop<S>(
     shared: &Arc<Shared>,

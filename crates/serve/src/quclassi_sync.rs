@@ -4,8 +4,8 @@
 //! Every hand-rolled concurrent protocol in this crate — the seqlock
 //! [`TraceRing`](crate::trace::TraceRing), the
 //! [`LatencyHistogram`](crate::metrics::LatencyHistogram) counters, the
-//! [`BoundedQueue`](crate::queue), the one-shot `ResponseSlot`, and the
-//! hot-swap publication core in [`swap`](crate::swap) — imports its
+//! admission gate in [`queue`](crate::queue), and the hot-swap
+//! publication core in [`swap`](crate::swap) — imports its
 //! primitives from here instead of `std::sync` directly (the workspace
 //! linter enforces this). Normal builds see plain re-exports and compile to
 //! byte-identical code; the `model_*` integration tests build with

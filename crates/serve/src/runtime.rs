@@ -1,104 +1,79 @@
-//! The serving runtime: admission → bounded queue → micro-batch scheduler
-//! → batched evaluation → reply.
+//! The serving runtime: admission → evaluation on the admitting thread →
+//! reply.
 //!
-//! One [`ServeRuntime`] owns the bounded request queue, the model registry,
-//! a shared [`BatchExecutor`], and a single scheduler thread. Any number of
-//! cloneable [`Client`] handles feed it concurrently.
+//! One [`ServeRuntime`] owns the admission gate, the model registry and a
+//! shared [`BatchExecutor`]; it spawns no thread. Any number of cloneable
+//! [`Client`] handles, and the wire shards, submit to it concurrently.
 //!
 //! ## Life of a request
 //!
 //! 1. **Admission** ([`Client::submit`]) — the model name resolves to its
-//!    current registry entry and the sample is validated + encoded to its
-//!    rotation angles *on the caller's thread*. A bad request is rejected
-//!    here, synchronously, and can never poison a batch. If the bounded
-//!    queue is full the request is rejected with
-//!    [`ServeError::Saturated`] — backpressure, not unbounded buffering.
-//! 2. **Run to completion, or batching** — with a zero `batch_window`, a
-//!    request for a product-state artifact
-//!    ([`CompiledModel::scores_product_states`]) with no shadow installed
-//!    is evaluated right there, on the admitting thread (the in-process
-//!    caller or a wire shard), and answered before `submit` returns. A
-//!    zero window means "do not wait for company", and a product artifact
-//!    scores every sample on its own anyway: the trip to the scheduler
-//!    and back would add two thread hand-offs and no batching gain. Every
-//!    other request is queued: the scheduler blocks for the first queued
-//!    request, then drains up to `max_batch` requests, waiting at most
-//!    `batch_window` for the batch to fill (a zero window drains whatever
-//!    has accumulated — natural batching with no added latency).
-//! 3. **Evaluation** — one function serves both paths (a request run to
-//!    completion is a flush of one). The batch is grouped by model entry
-//!    (requests keep the exact version that admitted them, even across a
-//!    hot-swap) and each group goes through
-//!    [`CompiledModel::predict_many_from_angles`] on the shared executor.
-//!    Separable artifacts under a deterministic estimator score inline
-//!    through the product-state kernel, a few nanoseconds per qubit and
-//!    class. For entangled analytic artifacts the flush is a samples ×
-//!    classes fidelity GEMM: every worker encodes its sample rows into a
-//!    reused scratch register and sweeps them against the model's packed
-//!    class-state matrix (`quclassi_sim::gemm::StateMatrix`), so a
-//!    steady-state flush performs no per-sample statevector or gate-list
-//!    allocations.
-//! 4. **Reply** — each request's one-shot slot is fulfilled; blocked
-//!    callers wake with a [`ServeResponse`].
+//!    current registry entry and the sample is validated and encoded to
+//!    its rotation angles. A bad request is rejected here. Once
+//!    `queue_capacity` requests are admitted and not yet answered, the
+//!    next one is rejected with [`ServeError::Saturated`] — backpressure,
+//!    not unbounded buffering.
+//! 2. **Evaluation** — on the same thread (the in-process caller or a wire
+//!    shard), through [`CompiledModel::predict_many_from_angles`] with one
+//!    angle row. QuClassi scores a sample with one fidelity per class, so
+//!    a sample's cost does not depend on any other sample and a batch
+//!    would have nothing to share. An artifact that simulates noisy
+//!    circuits (about a millisecond per request) fans its classes out
+//!    over the runtime's [`BatchExecutor`]; every other artifact evaluates
+//!    on the calling thread alone, where a hand-off would cost more than
+//!    the evaluation. The request keeps the registry entry that admitted
+//!    it, even across a hot-swap.
+//! 3. **Reply** — the request is accounted (latency, counters, trace span)
+//!    and answered before `submit` returns. If a shadow candidate mirrors
+//!    the model and draws this request, the candidate then evaluates the
+//!    same angles on the same thread; the answer is already fixed.
 //!
-//! Shutdown closes the queue to both paths at once: admission on either
-//! path takes the queue lock, and the scheduler exits only when the
-//! queue is closed, empty and no request is still running to completion,
-//! so every admitted request is answered and counted before
-//! [`ServeRuntime::shutdown`] returns.
-//!
-//! ## Threading
-//!
-//! The runtime's evaluation parallelism is entirely the
-//! [`BatchExecutor`]'s: its worker count (`QUCLASSI_THREADS`, via
-//! [`BatchExecutor::from_env`]) fans batched requests out one job per
-//! sample × class, and each circuit runs on one thread. The worker count
-//! is a pure throughput knob (see the determinism section below).
+//! Shutdown closes the gate — later admissions fail with
+//! [`ServeError::ShutDown`] — and waits until every admitted request has
+//! been answered, so [`ServeRuntime::shutdown`] counts each one.
 //!
 //! ## Determinism
 //!
 //! For deterministic estimators (analytic, exact SWAP test) a response is
 //! **bit-identical to a direct [`CompiledModel::predict_one`] call** on the
-//! same artifact, regardless of batch window, batch size, thread count, or
-//! how requests interleave: per-sample evaluation is independent of batch
-//! composition, and the batch executor's results are thread-count
-//! invariant. For stochastic estimators each model group in a flush
-//! derives its RNG streams from `(base_seed, flush index, group index)`,
-//! so results are reproducible for a fixed arrival order but — as in any
-//! dynamically batched server — depend on how requests happened to batch.
+//! same artifact, at any executor thread count and under any interleaving
+//! of concurrent requests: evaluation is per sample, and the batch
+//! executor's results do not depend on its thread count.
+//!
+//! For stochastic estimators (shots, noise), request `i` — the `i`-th
+//! admission, counted from 0 under the gate lock — is answered with
+//! `predict_many_from_angles(vec![angles], executor, seed)` where
+//! `seed = job_seed(job_seed(base_seed, i), 0)` (see
+//! [`BatchExecutor::job_seed`]). Outputs therefore depend on the arrival
+//! order alone: not on the executor's thread count, and not on what other
+//! requests were in flight.
 
 use crate::error::ServeError;
 use crate::metrics::{
     self, FlushReason, MetricsRegistry, MetricsSnapshot, ModelMetrics, RuntimeStats,
 };
-use crate::mutation;
 use crate::quclassi_sync::atomic::{AtomicU64, Ordering};
-use crate::quclassi_sync::{Arc, Condvar, Mutex, RwLock};
-use crate::queue::{flush_reason, BoundedQueue};
+use crate::quclassi_sync::{Arc, RwLock};
+use crate::queue::AdmissionGate;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::shadow::{ShadowReport, ShadowState};
 use crate::trace::{TraceRing, TraceSpan, TraceState, DEFAULT_TRACE_CAPACITY};
 use quclassi_infer::{CompiledModel, Prediction};
 use quclassi_sim::batch::BatchExecutor;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of the serving runtime.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Flush a micro-batch as soon as it holds this many requests.
-    pub max_batch: usize,
-    /// How long the scheduler waits (from the first queued request) for a
-    /// batch to fill before flushing what it has. `Duration::ZERO` flushes
-    /// whatever has accumulated without waiting — maximum-throughput
-    /// natural batching — and runs requests for product-state artifacts to
-    /// completion on the admitting thread (see the module docs).
+    /// Ignored. Every request runs to completion on its admitting thread,
+    /// so there is no batching window to wait out; the field remains so
+    /// that existing configurations keep compiling.
     pub batch_window: Duration,
-    /// Bounded queue capacity; admissions beyond it are rejected with
-    /// [`ServeError::Saturated`].
+    /// Most requests admitted and not yet answered; admissions beyond it
+    /// are rejected with [`ServeError::Saturated`].
     pub queue_capacity: usize,
-    /// Base seed for per-flush RNG streams (stochastic estimators only;
-    /// deterministic estimators ignore it).
+    /// Base seed of the per-request RNG streams (stochastic estimators
+    /// only; deterministic estimators ignore it).
     pub base_seed: u64,
     /// Capacity of the per-request trace ring (most recent completed
     /// request timelines, retrievable via `Client::traces` and the wire
@@ -109,8 +84,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            max_batch: 32,
-            batch_window: Duration::from_micros(200),
+            batch_window: Duration::ZERO,
             queue_capacity: 1024,
             base_seed: 0,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
@@ -119,10 +93,8 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Reads the batching knobs from the environment on top of the
-    /// defaults: `QUCLASSI_MAX_BATCH` (positive integer),
-    /// `QUCLASSI_BATCH_WINDOW_US` (microseconds, 0 allowed),
-    /// `QUCLASSI_QUEUE_CAPACITY` (positive integer), and
+    /// Reads the runtime knobs from the environment on top of the
+    /// defaults: `QUCLASSI_QUEUE_CAPACITY` (positive integer) and
     /// `QUCLASSI_TRACE_CAPACITY` (trace-ring capacity; 0 disables
     /// tracing).
     ///
@@ -133,18 +105,6 @@ impl ServeConfig {
     /// startup, not silently serve with a default.
     pub fn from_env() -> Result<Self, ServeError> {
         let mut config = ServeConfig::default();
-        if let Some(raw) = env_nonempty("QUCLASSI_MAX_BATCH") {
-            config.max_batch = parse_positive("QUCLASSI_MAX_BATCH", &raw)?;
-        }
-        if let Some(raw) = env_nonempty("QUCLASSI_BATCH_WINDOW_US") {
-            let us: u64 = raw.trim().parse().map_err(|_| {
-                ServeError::InvalidConfig(format!(
-                    "QUCLASSI_BATCH_WINDOW_US must be a non-negative integer \
-                     (microseconds), got '{raw}'"
-                ))
-            })?;
-            config.batch_window = Duration::from_micros(us);
-        }
         if let Some(raw) = env_nonempty("QUCLASSI_QUEUE_CAPACITY") {
             config.queue_capacity = parse_positive("QUCLASSI_QUEUE_CAPACITY", &raw)?;
         }
@@ -160,13 +120,8 @@ impl ServeConfig {
         Ok(config)
     }
 
-    /// Checks the invariants (`max_batch ≥ 1`, `queue_capacity ≥ 1`).
+    /// Checks the invariant `queue_capacity ≥ 1`.
     pub fn validate(&self) -> Result<(), ServeError> {
-        if self.max_batch == 0 {
-            return Err(ServeError::InvalidConfig(
-                "max_batch must be at least 1".to_string(),
-            ));
-        }
         if self.queue_capacity == 0 {
             return Err(ServeError::InvalidConfig(
                 "queue_capacity must be at least 1".to_string(),
@@ -202,145 +157,33 @@ pub struct ServeResponse {
     pub prediction: Prediction,
 }
 
-/// A callback invoked the moment a submitted request's response is ready:
-/// from the scheduler thread, or from the admitting thread for a request
-/// run to completion (before `submit_with_notifier` returns). The
-/// event-loop wire frontend registers its shard waker here, so a
-/// completion immediately unblocks the shard's `epoll_wait` instead of
-/// requiring a blocked thread per in-flight request. Must be cheap and
-/// non-blocking — it runs on the serving hot path.
-pub type CompletionNotifier = Arc<dyn Fn() + Send + Sync>;
+/// An admitted request's answer: its response, or the error its
+/// evaluation hit.
+pub(crate) type Answer = Result<ServeResponse, ServeError>;
 
-/// One-shot rendezvous between a blocked caller and the scheduler.
-pub(crate) struct ResponseSlot {
-    cell: Mutex<Option<Result<ServeResponse, ServeError>>>,
-    ready: Condvar,
-    /// Invoked after the result is published (see [`CompletionNotifier`]).
-    notifier: Option<CompletionNotifier>,
-    /// Per-request stage timeline, stamped as the request moves through
-    /// admission → queue → scheduler (→ wire write) and folded into the
-    /// trace ring when the lifecycle ends.
-    pub(crate) trace: TraceState,
-}
-
-impl std::fmt::Debug for ResponseSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResponseSlot")
-            .field("notified", &self.notifier.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ResponseSlot {
-    fn new(notifier: Option<CompletionNotifier>, trace: TraceState) -> Self {
-        ResponseSlot {
-            cell: Mutex::new(None),
-            ready: Condvar::new(),
-            notifier,
-            trace,
-        }
-    }
-
-    /// Publishes the result, then wakes the waiter and calls the notifier.
-    pub(crate) fn fulfill(&self, result: Result<ServeResponse, ServeError>) {
-        let notify_early = mutation::slot_notify_early();
-        if notify_early {
-            // Mutation point: notifying before the result is published is
-            // the lost-wakeup bug — the waiter can find the cell empty
-            // under the lock, then sleep through this already-spent
-            // notification forever. tests/model_slot.rs proves the checker
-            // reports the resulting deadlock.
-            self.ready.notify_all();
-        }
-        let mut cell = self.cell.lock().unwrap_or_else(|e| e.into_inner());
-        *cell = Some(result);
-        drop(cell);
-        if !notify_early {
-            self.ready.notify_all();
-        }
-        if let Some(notifier) = &self.notifier {
-            notifier();
-        }
-    }
-
-    /// Blocks until the result is published, then takes it.
-    pub(crate) fn wait(&self) -> Result<ServeResponse, ServeError> {
-        let mut cell = self.cell.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = cell.take() {
-                return result;
-            }
-            cell = self.ready.wait(cell).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Whether the result has been published (non-blocking).
-    pub(crate) fn is_ready(&self) -> bool {
-        self.cell
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
-    }
-}
-
-#[cfg(quclassi_model)]
-impl ResponseSlot {
-    /// Model-suite constructor: a bare slot with no notifier and a dummy
-    /// trace (the model tests exercise the rendezvous, not the timeline).
-    pub(crate) fn model_new() -> Self {
-        ResponseSlot::new(None, TraceState::new(0, Instant::now(), false))
-    }
-}
-
-/// A submitted-but-not-yet-answered request (see [`Client::submit`]).
+/// The answer to a request admitted by [`Client::submit`]. Requests run
+/// to completion inside `submit`, so the answer is already here.
 #[derive(Debug)]
 pub struct PendingPrediction {
-    slot: Arc<ResponseSlot>,
+    answer: Answer,
 }
 
 impl PendingPrediction {
-    /// Blocks until this request is answered.
+    /// The response, or the error the request's evaluation hit. Never
+    /// blocks.
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
-        self.slot.wait()
+        self.answer
     }
-
-    /// Whether the response has arrived (non-blocking).
-    pub fn is_ready(&self) -> bool {
-        self.slot.is_ready()
-    }
-
-    /// Takes the response if it has arrived (non-blocking); `None` while
-    /// the request is still in flight. Once this returns `Some`, the slot
-    /// is empty — a later [`PendingPrediction::wait`] would block forever,
-    /// so consume the pending through exactly one of the two.
-    pub fn take_if_ready(&self) -> Option<Result<ServeResponse, ServeError>> {
-        self.slot
-            .cell
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-    }
-
-    /// The underlying slot, for wire frontends that stamp the write stage
-    /// after the response bytes actually drain to the socket.
-    pub(crate) fn trace_slot(&self) -> Arc<ResponseSlot> {
-        Arc::clone(&self.slot)
-    }
-}
-
-/// A queued request: everything the scheduler needs, with the per-request
-/// work (resolution, validation, encoding) already done at admission.
-pub(crate) struct Request {
-    entry: Arc<ModelEntry>,
-    angles: Vec<f64>,
-    slot: Arc<ResponseSlot>,
-    admitted: Instant,
 }
 
 pub(crate) struct Shared {
-    pub(crate) queue: BoundedQueue<Request>,
+    gate: AdmissionGate,
     pub(crate) registry: ModelRegistry,
-    pub(crate) executor: BatchExecutor,
+    /// Fans the classes of a request that simulates noisy circuits out
+    /// over its workers.
+    executor: BatchExecutor,
+    /// Evaluates every other request on the calling thread.
+    inline: BatchExecutor,
     pub(crate) stats: RuntimeStats,
     /// The registry every runtime counter/gauge/histogram is registered
     /// in; [`Client::exposition`] renders it plus the dynamic per-model,
@@ -353,10 +196,9 @@ pub(crate) struct Shared {
     pub(crate) next_trace_id: AtomicU64,
     pub(crate) config: ServeConfig,
     pub(crate) started: Instant,
-    /// The installed shadow candidate, if any (see [`crate::shadow`]). The
-    /// scheduler reads it once per flush, and admission to decide whether
-    /// a request may run to completion; install/clear replace the whole
-    /// `Arc`, so a cycle boundary never tears a report.
+    /// The installed shadow candidate, if any (see [`crate::shadow`]),
+    /// read once per request; install/clear replace the whole `Arc`, so a
+    /// cycle boundary never tears a report.
     pub(crate) shadow: RwLock<Option<Arc<ShadowState>>>,
 }
 
@@ -364,13 +206,12 @@ impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
             .field("config", &self.config)
-            .field("queue_depth", &self.queue.depth())
             .field("models", &self.registry.names())
             .finish_non_exhaustive()
     }
 }
 
-/// The serving runtime: queue + scheduler + registry + metrics.
+/// The serving runtime: admission gate + registry + metrics.
 ///
 /// ```
 /// use quclassi::prelude::*;
@@ -403,39 +244,30 @@ impl std::fmt::Debug for Shared {
 #[derive(Debug)]
 pub struct ServeRuntime {
     shared: Arc<Shared>,
-    scheduler: Option<JoinHandle<()>>,
 }
 
 impl ServeRuntime {
-    /// Starts the runtime: validates `config`, then spawns the scheduler
-    /// thread on top of `executor`.
+    /// Starts the runtime: validates `config` and keeps `executor` for
+    /// requests that simulate noisy circuits. Spawns no thread: requests
+    /// run on the threads that submit them.
     pub fn start(config: ServeConfig, executor: BatchExecutor) -> Result<Self, ServeError> {
         config.validate()?;
         let metrics = MetricsRegistry::new();
         let stats = RuntimeStats::register(&metrics);
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::with_depth_gauge(config.queue_capacity, stats.queue_depth.clone()),
+            gate: AdmissionGate::new(config.queue_capacity),
             registry: ModelRegistry::new(),
+            inline: BatchExecutor::single_threaded(executor.root_seed()),
             executor,
             stats,
             metrics,
             trace: TraceRing::new(config.trace_capacity),
             next_trace_id: AtomicU64::new(1),
-            config: config.clone(),
+            config,
             started: Instant::now(),
             shadow: RwLock::new(None),
         });
-        let scheduler = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("quclassi-serve-scheduler".to_string())
-                .spawn(move || scheduler_loop(&shared))
-                .map_err(|e| ServeError::Io(format!("cannot spawn scheduler: {e}")))?
-        };
-        Ok(ServeRuntime {
-            shared,
-            scheduler: Some(scheduler),
-        })
+        Ok(ServeRuntime { shared })
     }
 
     /// The model registry (for deploys, version queries, drain tracking).
@@ -459,10 +291,10 @@ impl ServeRuntime {
     }
 
     /// Installs `candidate` as the shadow for `model`: from now on a
-    /// deterministic fraction `rate` of scheduler flushes for `model` are
-    /// mirrored onto the candidate *after* the live responses are
-    /// fulfilled (user-visible output is bit-identical to a shadow-free
-    /// run — see [`crate::shadow`]). Replaces any previously installed
+    /// deterministic fraction `rate` of requests for `model` are mirrored
+    /// onto the candidate *after* their live answers are fixed
+    /// (user-visible output is bit-identical to a shadow-free run — see
+    /// [`crate::shadow`]). Replaces any previously installed
     /// shadow, discarding its report.
     ///
     /// # Errors
@@ -508,19 +340,17 @@ impl ServeRuntime {
         snapshot(&self.shared)
     }
 
-    /// Gracefully shuts down: stops admitting, drains and answers every
-    /// already-admitted request, joins the scheduler, and returns the
-    /// final metrics.
-    pub fn shutdown(mut self) -> MetricsSnapshot {
+    /// Gracefully shuts down: stops admitting, waits until every
+    /// already-admitted request is answered, and returns the final
+    /// metrics.
+    pub fn shutdown(self) -> MetricsSnapshot {
         self.shutdown_in_place();
         snapshot(&self.shared)
     }
 
-    fn shutdown_in_place(&mut self) {
-        self.shared.queue.close();
-        if let Some(handle) = self.scheduler.take() {
-            let _ = handle.join();
-        }
+    fn shutdown_in_place(&self) {
+        self.shared.gate.close();
+        self.shared.gate.wait_drained();
     }
 }
 
@@ -537,59 +367,43 @@ pub struct Client {
 }
 
 impl Client {
-    /// Submits one request and blocks until its response.
+    /// Submits one request and returns its response.
     pub fn predict(&self, model: &str, x: &[f64]) -> Result<ServeResponse, ServeError> {
         self.submit(model, x)?.wait()
     }
 
-    /// Submits one request without waiting. Resolution, validation and
-    /// encoding run synchronously here (errors surface immediately);
-    /// evaluation happens on the scheduler — or here too, for a request
-    /// run to completion (see the module docs), in which case the returned
-    /// pending is already answered.
+    /// Submits one request and runs it to completion on this thread:
+    /// resolution, validation, encoding and evaluation. An admission error
+    /// is returned here; the returned pending holds the answer.
     pub fn submit(&self, model: &str, x: &[f64]) -> Result<PendingPrediction, ServeError> {
-        self.submit_inner(model, x, None, None, false)
+        let (answer, _) = self.submit_inner(model, x, None, false)?;
+        Ok(PendingPrediction { answer })
     }
 
-    /// [`Client::submit`] with a [`CompletionNotifier`] invoked the moment
-    /// the response is published. This is the non-blocking completion path
-    /// the event-loop wire frontend multiplexes on: submit many requests,
-    /// get woken once per completion, collect with
-    /// [`PendingPrediction::take_if_ready`].
-    pub fn submit_with_notifier(
-        &self,
-        model: &str,
-        x: &[f64],
-        notifier: CompletionNotifier,
-    ) -> Result<PendingPrediction, ServeError> {
-        self.submit_inner(model, x, Some(notifier), None, false)
-    }
-
-    /// [`Client::submit_with_notifier`] for wire frontends: tags the
-    /// request with the caller-derived trace id (or assigns one when the
-    /// frame carried no `"id"`) and defers trace-ring recording to
-    /// [`Client::finish_wire_write`], so the recorded timeline includes
-    /// the socket write stage. A request run to completion is answered
-    /// before this returns and does **not** invoke `notifier`: the
-    /// frontend collects it right away instead of waking itself.
+    /// [`Client::submit`] for wire frontends: tags the request with the
+    /// caller-derived trace id (or assigns one when the frame carried no
+    /// `"id"`) and hands back its trace state with the answer, so the
+    /// frontend records the span through [`Client::finish_wire_write`]
+    /// once the response is written. An admission error has no trace.
     pub(crate) fn submit_wire(
         &self,
         model: &str,
         x: &[f64],
-        notifier: Option<CompletionNotifier>,
         trace_id: Option<u64>,
-    ) -> Result<PendingPrediction, ServeError> {
-        self.submit_inner(model, x, notifier, trace_id, true)
+    ) -> (Answer, Option<TraceState>) {
+        match self.submit_inner(model, x, trace_id, true) {
+            Ok((answer, trace)) => (answer, Some(trace)),
+            Err(e) => (Err(e), None),
+        }
     }
 
     fn submit_inner(
         &self,
         model: &str,
         x: &[f64],
-        notifier: Option<CompletionNotifier>,
         trace_id: Option<u64>,
         wire_managed: bool,
-    ) -> Result<PendingPrediction, ServeError> {
+    ) -> Result<(Answer, TraceState), ServeError> {
         let received = Instant::now();
         let entry = match self.shared.registry.get(model) {
             Ok(entry) => entry,
@@ -612,45 +426,28 @@ impl Client {
         self.shared.stats.stage_encode.record_ns(encode_ns);
         let trace_id =
             trace_id.unwrap_or_else(|| self.shared.next_trace_id.fetch_add(1, Ordering::Relaxed));
-        let trace = TraceState::new(trace_id, received, wire_managed);
-        trace.encode_ns.store(encode_ns, Ordering::Relaxed);
-        let inline = self.shared.runs_to_completion(&entry);
-        // A wire frontend collects an inline answer as `submit_wire`
-        // returns; waking its own shard for it would be a wasted round trip.
-        let notifier = notifier.filter(|_| !(inline && wire_managed));
-        let slot = Arc::new(ResponseSlot::new(notifier, trace));
-        let request = Request {
-            entry: Arc::clone(&entry),
-            angles,
-            slot: Arc::clone(&slot),
-            admitted: Instant::now(),
-        };
-        // Counted under the queue lock, before the request can be answered.
-        let count_admitted = || {
+        let mut trace = TraceState::new(trace_id, received, wire_managed);
+        trace.encode_ns = encode_ns;
+        // Counted under the gate lock, before the request can be answered.
+        let admitted = self.shared.gate.admit(|| {
             self.shared.stats.admitted.inc();
             self.shared.stats.in_flight.add(1);
             entry.stats().admitted.inc();
-        };
-        let admitted = if inline {
-            let running = self.shared.queue.admit_inline(count_admitted);
-            running.map(|running| {
-                let group = vec![(Arc::clone(&entry), vec![request])];
-                let reason = flush_reason(1, self.shared.config.max_batch, false);
-                // Product artifacts are deterministic: the seed is unused.
-                serve_flush(&self.shared, group, reason, 0, 0, None);
-                drop(running);
-            })
-        } else {
-            self.shared.queue.try_push(request, count_admitted)
-        };
-        match admitted {
-            Ok(()) => Ok(PendingPrediction { slot }),
+        });
+        let running = match admitted {
+            Ok(running) => running,
             Err(e) => {
                 self.shared.stats.rejected.inc();
                 entry.stats().rejected.inc();
-                Err(e)
+                return Err(e);
             }
-        }
+        };
+        let answer = self
+            .shared
+            .serve(&entry, angles, &mut trace, running.index());
+        // Answered: shutdown may now return.
+        drop(running);
+        Ok((answer, trace))
     }
 
     /// Deployed model names with their active versions, sorted by name.
@@ -705,44 +502,26 @@ impl Client {
         self.shared.exposition()
     }
 
-    /// Stamps the wire-write stage on a completed request and records its
+    /// Stamps the wire-write stage on an answered request and records its
     /// span: called by wire frontends once the response bytes have drained
     /// to the socket (`write_ns` = response enqueued → drained).
-    pub(crate) fn finish_wire_write(&self, slot: &ResponseSlot, write_ns: u64) {
+    pub(crate) fn finish_wire_write(&self, trace: &TraceState, write_ns: u64) {
         self.shared.stats.stage_write.record_ns(write_ns);
-        let total_ns = slot.trace.received.elapsed().as_nanos() as u64;
-        self.shared
-            .trace
-            .record(slot.trace.span(write_ns, total_ns));
+        let total_ns = trace.received.elapsed().as_nanos() as u64;
+        self.shared.trace.record(trace.span(write_ns, total_ns));
     }
 }
 
 fn snapshot(shared: &Shared) -> MetricsSnapshot {
     shared.stats.snapshot(
         shared.started.elapsed(),
-        shared.queue.capacity(),
-        shared.queue.peak_depth(),
+        shared.gate.capacity(),
         shared.registry.draining(),
         shared.model_metrics(),
     )
 }
 
 impl Shared {
-    /// Whether a request for `entry` runs to completion on its admitting
-    /// thread: a zero batch window, a product-state artifact, and no
-    /// shadow mirroring this model (mirroring and its p99 gate stay on the
-    /// scheduler).
-    fn runs_to_completion(&self, entry: &ModelEntry) -> bool {
-        self.config.batch_window.is_zero()
-            && entry.model().scores_product_states()
-            && self
-                .shadow
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .is_none_or(|shadow| shadow.model() != entry.name())
-    }
-
     /// Deploys through the registry and counts the promotion.
     pub(crate) fn promote(&self, name: &str, model: CompiledModel) -> Result<u64, ServeError> {
         let version = self.registry.deploy(name, model)?;
@@ -846,213 +625,121 @@ impl Shared {
         }
         out
     }
-}
 
-/// The scheduler: drains micro-batches, stamps each request's queue wait,
-/// groups the batch by model entry and serves it.
-fn scheduler_loop(shared: &Shared) {
-    let mut flush_index: u64 = 0;
-    while let Some((requests, reason)) = shared
-        .queue
-        .pop_batch(shared.config.max_batch, shared.config.batch_window)
-    {
-        let assemble_started = Instant::now();
-        // Group by registry entry, preserving arrival order within each
-        // group. Requests pin the entry that admitted them, so a batch
-        // spanning a hot-swap serves each request on its own version.
-        let mut groups: Vec<(Arc<ModelEntry>, Vec<Request>)> = Vec::new();
-        for request in requests {
-            // Queue wait ends at scheduler pickup; stamped per request.
-            let queue_wait_ns = assemble_started
-                .saturating_duration_since(request.admitted)
-                .as_nanos() as u64;
-            request
-                .slot
-                .trace
-                .queue_wait_ns
-                .store(queue_wait_ns, Ordering::Relaxed);
-            match groups
-                .iter_mut()
-                .find(|(entry, _)| Arc::ptr_eq(entry, &request.entry))
-            {
-                Some((_, members)) => members.push(request),
-                None => {
-                    let entry = Arc::clone(&request.entry);
-                    groups.push((entry, vec![request]));
-                }
-            }
+    /// The executor a request for `model` evaluates on: the worker pool
+    /// for artifacts that simulate noisy circuits (about a millisecond per
+    /// request, so fanning the classes out pays), the calling thread for
+    /// every other artifact. Answers are the same either way: the batch
+    /// executor's results do not depend on its thread count.
+    fn executor_for(&self, model: &CompiledModel) -> &BatchExecutor {
+        if model.estimator().simulates_circuit() {
+            &self.executor
+        } else {
+            &self.inline
         }
-        // One assembly stamp per flush (drain → group → dispatch); requests
-        // in later groups also wait behind earlier groups' compute, which
-        // stays unattributed — hence stage-sum ≈ total, not ==.
-        let assemble_ns = assemble_started.elapsed().as_nanos() as u64;
-        // One seed per flush, split again per model group, so stochastic
-        // streams are a pure function of (base_seed, flush index, group
-        // index) — groups in the same flush never share streams.
-        let flush_seed = BatchExecutor::job_seed(shared.config.base_seed, flush_index);
-        flush_index += 1;
-        // One shadow read per flush: install/clear between flushes, never
-        // mid-flush.
-        let shadow = shared
+    }
+
+    /// Answers admission `index` on the calling thread: evaluates it on
+    /// the entry that admitted it, accounts it (counters, latency, stage
+    /// histograms, trace span), then — if the installed shadow mirrors this
+    /// model and draws this request — evaluates the candidate on the same
+    /// angles. Each request counts as a flush of one.
+    fn serve(
+        &self,
+        entry: &ModelEntry,
+        angles: Vec<f64>,
+        trace: &mut TraceState,
+        index: u64,
+    ) -> Answer {
+        let admitted = Instant::now();
+        self.stats.record_flush(1, FlushReason::Deadline);
+        let seed =
+            BatchExecutor::job_seed(BatchExecutor::job_seed(self.config.base_seed, index), 0);
+        let mirror = self
             .shadow
             .read()
             .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        serve_flush(
-            shared,
-            groups,
-            reason,
-            assemble_ns,
-            flush_seed,
-            shadow.as_ref(),
-        );
-    }
-}
-
-/// Serves one flush on the calling thread: evaluates each model group,
-/// accounts and fulfils every request, then mirrors the group onto
-/// `shadow` if it drew a mirror. The scheduler calls it for every batch it
-/// pops; a request run to completion is a flush of one on its admitting
-/// thread, with no queue wait, no assembly and no shadow.
-fn serve_flush(
-    shared: &Shared,
-    groups: Vec<(Arc<ModelEntry>, Vec<Request>)>,
-    reason: FlushReason,
-    assemble_ns: u64,
-    flush_seed: u64,
-    shadow: Option<&Arc<ShadowState>>,
-) {
-    let batch_len = groups.iter().map(|(_, members)| members.len()).sum();
-    shared.stats.record_flush(batch_len, reason);
-    for (group_index, (entry, mut members)) in groups.into_iter().enumerate() {
-        let angles: Vec<Vec<f64>> = members
-            .iter_mut()
-            .map(|r| std::mem::take(&mut r.angles))
-            .collect();
-        let seed = BatchExecutor::job_seed(flush_seed, group_index as u64);
-        // Decide mirroring before the live evaluation (the angles are
-        // consumed by it), but run the candidate only *after* every user
-        // slot is fulfilled: live responses, seeds and ordering are
-        // untouched by the presence of a shadow.
-        let mirror = shadow
+            .as_ref()
             .filter(|s| s.model() == entry.name() && s.should_mirror())
             .map(Arc::clone);
         let mirror_angles = mirror.as_ref().map(|_| angles.clone());
+        let model = entry.model();
         let eval_started = Instant::now();
-        let outcome = entry
-            .model()
-            .predict_many_from_angles(angles, &shared.executor, seed);
+        let outcome = model.predict_many_from_angles(vec![angles], self.executor_for(model), seed);
         let live_elapsed = eval_started.elapsed();
         let compute_ns = live_elapsed.as_nanos() as u64;
-        let batch_size = members.len() as u64;
-        // A failed live evaluation fails every member (each still gets a
-        // complete trace lifecycle) and drops the mirrored copy: a
-        // candidate is never judged on traffic the live model could not
-        // serve either.
-        let (predictions, error) = match outcome {
-            Ok(predictions) => (predictions, None),
-            Err(e) => (Vec::new(), Some(ServeError::Model(e))),
+        let answer = match outcome {
+            Ok(mut predictions) => {
+                let latency_ns = admitted.elapsed().as_nanos() as u64;
+                self.stats.latency.record_ns(latency_ns);
+                entry.stats().latency.record_ns(latency_ns);
+                self.stats.completed.inc();
+                entry.stats().completed.inc();
+                Ok(ServeResponse {
+                    model: entry.name().to_string(),
+                    version: entry.version(),
+                    prediction: predictions.pop().expect("one prediction per angle row"),
+                })
+            }
+            Err(e) => {
+                self.stats.failed.inc();
+                entry.stats().failed.inc();
+                Err(ServeError::Model(e))
+            }
         };
-        let live_labels: Option<Vec<usize>> = mirror
-            .as_ref()
-            .filter(|_| error.is_none())
-            .map(|_| predictions.iter().map(|p| p.label).collect());
-        let mut predictions = predictions.into_iter();
-        for request in members {
-            let result = match predictions.next() {
-                Some(prediction) => {
-                    let latency_ns = request.admitted.elapsed().as_nanos() as u64;
-                    shared.stats.latency.record_ns(latency_ns);
-                    entry.stats().latency.record_ns(latency_ns);
-                    shared.stats.completed.inc();
-                    entry.stats().completed.inc();
-                    Ok(ServeResponse {
-                        model: entry.name().to_string(),
-                        version: entry.version(),
-                        prediction,
-                    })
-                }
-                None => {
-                    shared.stats.failed.inc();
-                    entry.stats().failed.inc();
-                    Err(error.clone().expect("one prediction per member on success"))
-                }
-            };
-            finish_request(shared, &request, assemble_ns, compute_ns, batch_size);
-            request.slot.fulfill(result);
+        self.stats.stage_compute.record_ns(compute_ns);
+        trace.compute_ns = compute_ns;
+        self.stats.in_flight.sub(1);
+        if !trace.wire_managed {
+            // In-process requests have no write stage: the span is
+            // complete, and in the ring before `submit` returns.
+            let total_ns = trace.received.elapsed().as_nanos() as u64;
+            self.trace.record(trace.span(0, total_ns));
         }
-        if let (Some(state), Some(angles), Some(labels)) = (mirror, mirror_angles, live_labels) {
-            shadow_evaluate(shared, &state, angles, &labels, live_elapsed, seed);
+        // A candidate is never judged on traffic the live model could not
+        // serve either.
+        if let (Some(state), Some(angles), Ok(response)) = (mirror, mirror_angles, &answer) {
+            self.shadow_evaluate(
+                &state,
+                angles,
+                response.prediction.label,
+                live_elapsed,
+                seed,
+            );
         }
+        answer
     }
-}
 
-/// Final per-request stage bookkeeping, just before fulfilment: stamps the
-/// assemble/compute stages and batch size, records the stage histograms
-/// (queue wait as stamped at scheduler pickup, 0 for a request run to
-/// completion), releases the in-flight gauge, and — for
-/// in-process requests, which have no write stage — records the completed
-/// span into the trace ring. Wire-managed requests defer recording to
-/// [`Client::finish_wire_write`] so the span includes the socket drain.
-fn finish_request(
-    shared: &Shared,
-    request: &Request,
-    assemble_ns: u64,
-    compute_ns: u64,
-    batch_size: u64,
-) {
-    let trace = &request.slot.trace;
-    let queue_wait_ns = trace.queue_wait_ns.load(Ordering::Relaxed);
-    shared.stats.stage_queue_wait.record_ns(queue_wait_ns);
-    shared.stats.stage_assemble.record_ns(assemble_ns);
-    shared.stats.stage_compute.record_ns(compute_ns);
-    trace.assemble_ns.store(assemble_ns, Ordering::Relaxed);
-    trace.compute_ns.store(compute_ns, Ordering::Relaxed);
-    trace.batch_size.store(batch_size, Ordering::Relaxed);
-    shared.stats.in_flight.sub(1);
-    if !trace.wire_managed {
-        // Record before fulfil: a local waiter that returns from `wait`
-        // can immediately find its own lifecycle in the ring.
-        let total_ns = trace.received.elapsed().as_nanos() as u64;
-        shared.trace.record(trace.span(0, total_ns));
-    }
-}
-
-/// Runs one mirrored group on the shadow candidate and folds the outcome
-/// into its report. Runs on the scheduler thread (shadowed models never
-/// run to completion), strictly after the group's user slots were
-/// fulfilled from the live model.
-fn shadow_evaluate(
-    shared: &Shared,
-    state: &ShadowState,
-    angles: Vec<Vec<f64>>,
-    live_labels: &[usize],
-    live_elapsed: Duration,
-    live_seed: u64,
-) {
-    let requests = angles.len() as u64;
-    // A seed stream disjoint from every live group's (group indices are
-    // tiny; u64::MAX is unreachable), so stochastic candidates cannot
-    // consume or perturb live randomness.
-    let shadow_seed = BatchExecutor::job_seed(live_seed, u64::MAX);
-    let started = Instant::now();
-    match state
-        .candidate()
-        .predict_many_from_angles(angles, &shared.executor, shadow_seed)
-    {
-        Ok(predictions) => {
-            let agreements = live_labels
-                .iter()
-                .zip(&predictions)
-                .filter(|(live, shadow)| **live == shadow.label)
-                .count() as u64;
-            state.record_batch(requests, agreements, live_elapsed, started.elapsed());
-            shared.stats.shadow_batches.inc();
-            shared.stats.shadow_requests.add(requests);
-        }
-        Err(_) => {
-            state.record_failure(requests);
-            shared.stats.shadow_batches.inc();
+    /// Runs one mirrored request on the shadow candidate and folds the
+    /// outcome into its report, strictly after the live answer is fixed.
+    fn shadow_evaluate(
+        &self,
+        state: &ShadowState,
+        angles: Vec<f64>,
+        live_label: usize,
+        live_elapsed: Duration,
+        live_seed: u64,
+    ) {
+        // A seed stream disjoint from the live request's, so a stochastic
+        // candidate cannot consume or perturb live randomness.
+        let shadow_seed = BatchExecutor::job_seed(live_seed, u64::MAX);
+        let candidate = state.candidate();
+        let started = Instant::now();
+        match candidate.predict_many_from_angles(
+            vec![angles],
+            self.executor_for(candidate),
+            shadow_seed,
+        ) {
+            Ok(predictions) => {
+                let agreed = predictions[0].label == live_label;
+                state.record(agreed, live_elapsed, started.elapsed());
+                self.stats.shadow_batches.inc();
+                self.stats.shadow_requests.inc();
+            }
+            Err(_) => {
+                state.record_failure();
+                self.stats.shadow_batches.inc();
+            }
         }
     }
 }
@@ -1074,12 +761,6 @@ mod tests {
     #[test]
     fn config_validation_rejects_degenerate_values() {
         assert!(ServeConfig {
-            max_batch: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(ServeConfig {
             queue_capacity: 0,
             ..Default::default()
         }
@@ -1099,7 +780,8 @@ mod tests {
             .iter()
             .map(|x| artifact.predict_one(x, &mut rng).unwrap())
             .collect();
-        for window_us in [0u64, 100, 5000] {
+        // The ignored batch window changes nothing.
+        for window_us in [0u64, 5000] {
             let rt = runtime(ServeConfig {
                 batch_window: Duration::from_micros(window_us),
                 ..Default::default()
@@ -1143,50 +825,35 @@ mod tests {
 
     #[test]
     fn saturation_applies_backpressure() {
-        // A runtime whose scheduler is effectively stalled behind a huge
-        // window cannot drain; a capacity-2 queue must reject the third
-        // concurrent submission.
+        // Two requests held running (as if still evaluating on other
+        // threads) fill a capacity-2 runtime: the next submit is rejected,
+        // retryably, and counted as rejected, not admitted.
         let rt = runtime(ServeConfig {
             queue_capacity: 2,
-            max_batch: 64,
-            batch_window: Duration::from_secs(5),
             ..Default::default()
         });
         rt.deploy("m", compiled(1)).unwrap();
         let client = rt.client();
-        let a = client.submit("m", &[0.1; 4]).unwrap();
-        let b = client.submit("m", &[0.2; 4]).unwrap();
-        // The scheduler may have already drained 0, 1 or 2 of those into
-        // its forming batch; fill whatever queue slack remains, then the
-        // next submit must saturate.
-        let mut pending = vec![a, b];
-        let mut rejected = None;
-        for i in 0..4 {
-            match client.submit("m", &[0.05 + 0.01 * i as f64; 4]) {
-                Ok(p) => pending.push(p),
-                Err(e) => {
-                    rejected = Some(e);
-                    break;
-                }
+        let gate = &rt.shared().gate;
+        let held = [gate.admit(|| {}).unwrap(), gate.admit(|| {}).unwrap()];
+        let err = client.submit("m", &[0.1; 4]).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::Saturated {
+                depth: 2,
+                capacity: 2
             }
-        }
-        let err = rejected.expect("queue should have saturated");
-        assert_eq!(err.kind(), "saturated");
+        );
         assert!(err.is_retryable());
-        // Shutdown drains the admitted requests; all pending slots resolve.
-        let rt_metrics = rt.shutdown();
-        for p in pending {
-            assert!(p.wait().is_ok());
-        }
-        assert!(rt_metrics.rejected >= 1);
+        drop(held);
+        assert!(client.predict("m", &[0.1; 4]).is_ok(), "capacity freed");
+        let m = rt.shutdown();
+        assert_eq!((m.admitted, m.completed, m.rejected), (1, 1, 1));
     }
 
     #[test]
     fn shutdown_drains_admitted_requests_and_rejects_new_ones() {
-        let rt = runtime(ServeConfig {
-            batch_window: Duration::from_millis(50),
-            ..Default::default()
-        });
+        let rt = runtime(ServeConfig::default());
         rt.deploy("m", compiled(1)).unwrap();
         let client = rt.client();
         let pending: Vec<PendingPrediction> = (0..8)
@@ -1220,25 +887,22 @@ mod tests {
 
     #[test]
     fn metrics_reflect_batching_and_latency() {
-        let rt = runtime(ServeConfig {
-            batch_window: Duration::from_millis(20),
-            max_batch: 8,
-            ..Default::default()
-        });
+        let rt = runtime(ServeConfig::default());
         rt.deploy("m", compiled(1)).unwrap();
         let client = rt.client();
-        // Submit a burst without waiting, so the scheduler can batch them.
-        let pending: Vec<PendingPrediction> = (0..8)
-            .map(|i| client.submit("m", &[0.05 + 0.1 * i as f64; 4]).unwrap())
-            .collect();
-        for p in pending {
-            p.wait().unwrap();
+        for i in 0..8 {
+            let before = client.metrics().completed;
+            let pending = client.submit("m", &[0.05 + 0.1 * i as f64; 4]).unwrap();
+            // Answered and counted before `submit` returned.
+            assert_eq!(client.metrics().completed, before + 1);
+            pending.wait().unwrap();
         }
         let m = rt.shutdown();
         assert_eq!(m.completed, 8);
-        assert!(m.batches >= 1 && m.batches <= 8);
-        assert_eq!(m.batched_requests, 8);
-        assert!(m.mean_batch_occupancy() >= 1.0);
+        // Every request is a flush of one.
+        assert_eq!((m.batches, m.batched_requests), (8, 8));
+        assert_eq!(m.flush_on_deadline, 8);
+        assert_eq!(m.mean_batch_occupancy(), 1.0);
         assert_eq!(m.latency.count(), 8);
         assert!(m.latency.quantile_ns(0.5) > 0);
         assert!(m.throughput_rps() > 0.0);
@@ -1248,32 +912,25 @@ mod tests {
     }
 
     #[test]
-    fn wire_submissions_answered_inline_do_not_fire_the_notifier() {
-        use std::sync::atomic::AtomicUsize;
-        let fired = Arc::new(AtomicUsize::new(0));
-        let notifier: CompletionNotifier = {
-            let fired = Arc::clone(&fired);
-            Arc::new(move || {
-                fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            })
-        };
-        for (window, inline) in [(Duration::ZERO, true), (Duration::from_secs(5), false)] {
-            let rt = runtime(ServeConfig {
-                batch_window: window,
-                ..Default::default()
-            });
-            rt.deploy("m", compiled(1)).unwrap();
-            let before = fired.load(std::sync::atomic::Ordering::Relaxed);
-            let pending = rt
-                .client()
-                .submit_wire("m", &[0.3; 4], Some(Arc::clone(&notifier)), Some(7))
-                .unwrap();
-            assert_eq!(pending.is_ready(), inline);
-            let metrics = rt.shutdown();
-            assert_eq!(metrics.completed, 1);
-            let notified = fired.load(std::sync::atomic::Ordering::Relaxed) - before;
-            assert_eq!(notified, usize::from(!inline), "window {window:?}");
-        }
+    fn wire_submissions_leave_span_recording_to_the_frontend() {
+        let rt = runtime(ServeConfig::default());
+        rt.deploy("m", compiled(1)).unwrap();
+        let client = rt.client();
+        let (answer, trace) = client.submit_wire("m", &[0.3; 4], Some(7));
+        assert_eq!(
+            answer.unwrap().prediction,
+            client.predict("m", &[0.3; 4]).unwrap().prediction
+        );
+        let trace = trace.expect("an admitted request has a trace");
+        // Only the in-process predict above has a span so far.
+        assert_eq!(client.traces_recorded(), 1);
+        client.finish_wire_write(&trace, 5);
+        let span = client.traces(1)[0];
+        assert_eq!((span.trace_id, span.write_ns, span.batch_size), (7, 5, 1));
+        // An admission error has no trace to finish.
+        let (answer, trace) = client.submit_wire("ghost", &[0.3; 4], Some(8));
+        assert!(answer.is_err() && trace.is_none());
+        assert_eq!(rt.shutdown().completed, 2);
     }
 
     #[test]

@@ -2,21 +2,20 @@
 //! a candidate artifact without touching user-visible responses.
 //!
 //! A shadow is installed per runtime (at most one at a time — the online
-//! learner evaluates one candidate per cycle). When a scheduler flush
-//! contains a group for the shadowed model name, the flush *may* fan the
-//! group's already-encoded angles out to the candidate a second time —
-//! after every user slot has been fulfilled from the live model, on a
-//! disjoint RNG stream. Users therefore receive responses that are
-//! bit-identical to a shadow-disabled run; the candidate's predictions are
-//! folded into the [`ShadowReport`] (volume, failures, label agreement,
-//! and separate live/candidate batch-latency histograms) that feeds the
-//! promotion gate.
+//! learner evaluates one candidate per cycle). A request for the shadowed
+//! model name *may* send its already-encoded angles to the candidate a
+//! second time — on the admitting thread, after the live answer is fixed
+//! and accounted, on a disjoint RNG stream. Users therefore receive
+//! responses that are bit-identical to a shadow-disabled run; the
+//! candidate's predictions are folded into the [`ShadowReport`] (volume,
+//! failures, label agreement, and separate live/candidate compute-latency
+//! histograms) that feeds the promotion gate.
 //!
 //! Mirroring is governed by a **deterministic rate accumulator**, not a
-//! coin flip: with rate `r`, every flush adds `r` to a running credit and
-//! mirrors exactly when the credit reaches 1 — so a rate of 0.25 mirrors
-//! precisely every 4th eligible flush, and a fault-injection schedule
-//! replays identically run after run.
+//! coin flip: with rate `r`, every eligible request adds `r` to a running
+//! credit and is mirrored exactly when the credit reaches 1 — so a rate of
+//! 0.25 mirrors precisely every 4th eligible request, and a
+//! fault-injection schedule replays identically run after run.
 
 use crate::metrics::{HistogramSnapshot, LatencyHistogram};
 use quclassi_infer::CompiledModel;
@@ -34,7 +33,8 @@ pub struct ShadowReport {
     pub tag: u64,
     /// Requests mirrored onto the candidate.
     pub requests: u64,
-    /// Flushed groups mirrored onto the candidate.
+    /// Mirrors attempted: one per mirrored request, whether the candidate
+    /// answered it or failed.
     pub batches: u64,
     /// Mirrored requests the candidate failed to evaluate. Any failure
     /// disqualifies a candidate: the same traffic succeeded on the live
@@ -42,10 +42,9 @@ pub struct ShadowReport {
     pub failures: u64,
     /// Mirrored requests where the candidate agreed with the live label.
     pub agreements: u64,
-    /// Per-request latency of the *live* evaluation of mirrored groups
-    /// (each request attributed the group's mean, batch-amortised).
+    /// Compute latency of the *live* evaluation of mirrored requests.
     pub live_latency: HistogramSnapshot,
-    /// Per-request latency of the candidate evaluation of the same groups.
+    /// Compute latency of the candidate evaluation of the same requests.
     pub candidate_latency: HistogramSnapshot,
 }
 
@@ -79,7 +78,7 @@ pub(crate) struct ShadowState {
     tag: u64,
     candidate: Arc<CompiledModel>,
     rate: f64,
-    /// Mirroring credit; only the scheduler thread takes this lock.
+    /// Mirroring credit, taken once per request for the shadowed model.
     credit: Mutex<f64>,
     requests: AtomicU64,
     batches: AtomicU64,
@@ -114,7 +113,7 @@ impl ShadowState {
         &self.candidate
     }
 
-    /// Deterministic rate gate: accumulate `rate` per eligible flush and
+    /// Deterministic rate gate: accumulate `rate` per eligible request and
     /// mirror whenever the credit crosses 1.
     pub(crate) fn should_mirror(&self) -> bool {
         let mut credit = self.credit.lock().unwrap_or_else(|e| e.into_inner());
@@ -127,32 +126,21 @@ impl ShadowState {
         }
     }
 
-    /// Records one successfully mirrored group.
-    pub(crate) fn record_batch(
-        &self,
-        requests: u64,
-        agreements: u64,
-        live_elapsed: Duration,
-        candidate_elapsed: Duration,
-    ) {
+    /// Records one request the candidate answered.
+    pub(crate) fn record(&self, agreed: bool, live_elapsed: Duration, candidate_elapsed: Duration) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.requests.fetch_add(requests, Ordering::Relaxed);
-        self.agreements.fetch_add(agreements, Ordering::Relaxed);
-        if let (Some(live_ns), Some(cand_ns)) = (
-            (live_elapsed.as_nanos() as u64).checked_div(requests),
-            (candidate_elapsed.as_nanos() as u64).checked_div(requests),
-        ) {
-            for _ in 0..requests {
-                self.live_latency.record_ns(live_ns);
-                self.candidate_latency.record_ns(cand_ns);
-            }
-        }
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.agreements
+            .fetch_add(u64::from(agreed), Ordering::Relaxed);
+        self.live_latency.record_ns(live_elapsed.as_nanos() as u64);
+        self.candidate_latency
+            .record_ns(candidate_elapsed.as_nanos() as u64);
     }
 
-    /// Records a mirrored group the candidate failed to evaluate.
-    pub(crate) fn record_failure(&self, requests: u64) {
+    /// Records a mirrored request the candidate failed to evaluate.
+    pub(crate) fn record_failure(&self) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.failures.fetch_add(requests, Ordering::Relaxed);
+        self.failures.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn report(&self) -> ShadowReport {
@@ -181,10 +169,10 @@ mod tests {
     fn rate_accumulator_is_exact_and_deterministic() {
         let state = ShadowState::new("m", candidate(), 0.25, 0);
         let pattern: Vec<bool> = (0..12).map(|_| state.should_mirror()).collect();
-        // Every 4th flush mirrors, starting at the 4th.
+        // Every 4th request mirrors, starting at the 4th.
         let want: Vec<bool> = (1..=12).map(|i| i % 4 == 0).collect();
         assert_eq!(pattern, want);
-        // Rate 1.0 mirrors every flush.
+        // Rate 1.0 mirrors every request.
         let state = ShadowState::new("m", candidate(), 1.0, 0);
         assert!((0..8).all(|_| state.should_mirror()));
         // A second identically-configured state replays the same pattern.
@@ -208,18 +196,19 @@ mod tests {
     #[test]
     fn report_aggregates_batches_and_agreement() {
         let state = ShadowState::new("m", candidate(), 1.0, 7);
-        state.record_batch(4, 3, Duration::from_micros(40), Duration::from_micros(120));
-        state.record_batch(2, 2, Duration::from_micros(20), Duration::from_micros(20));
-        state.record_failure(3);
+        state.record(true, Duration::from_micros(10), Duration::from_micros(30));
+        state.record(true, Duration::from_micros(10), Duration::from_micros(30));
+        state.record(false, Duration::from_micros(10), Duration::from_micros(10));
+        state.record_failure();
         let report = state.report();
         assert_eq!(report.tag, 7);
-        assert_eq!(report.batches, 3);
-        assert_eq!(report.requests, 6);
-        assert_eq!(report.agreements, 5);
-        assert_eq!(report.failures, 3);
-        assert!((report.agreement_rate() - 5.0 / 6.0).abs() < 1e-12);
-        assert_eq!(report.live_latency.count(), 6);
-        assert_eq!(report.candidate_latency.count(), 6);
+        assert_eq!(report.batches, 4);
+        assert_eq!(report.requests, 3);
+        assert_eq!(report.agreements, 2);
+        assert_eq!(report.failures, 1);
+        assert!((report.agreement_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(report.live_latency.count(), 3);
+        assert_eq!(report.candidate_latency.count(), 3);
         // The candidate was slower on the mirrored traffic (30µs vs 10µs
         // per request at the tail), so the p99 ratio exceeds 1.
         assert!(report.p99_ratio() > 1.0);

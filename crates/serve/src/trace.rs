@@ -4,14 +4,13 @@
 //! wire request's `"id"` when it has one, an auto-assigned id otherwise)
 //! and accumulates monotonic stage timestamps as it moves through the
 //! pipeline: **encode** (admission-side validation + angle encoding) →
-//! **queue wait** (bounded queue) → **assemble** (scheduler drain + model
-//! grouping) → **compute** (the batched evaluation) → **write** (response
-//! bytes drained to the socket; zero for in-process requests). When the
-//! lifecycle completes, one [`TraceSpan`] is recorded into the runtime's
+//! **compute** (the evaluation, on the admitting thread) → **write**
+//! (response bytes drained to the socket; zero for in-process requests).
+//! The **queue wait** and **assemble** stages are kept in the span and
+//! always read 0: no request is queued or batched. When the lifecycle
+//! completes, one [`TraceSpan`] is recorded into the runtime's
 //! [`TraceRing`] and becomes retrievable — newest last — through
-//! `Client::traces` and the wire `{"op":"trace","last":N}` op, which
-//! reconstructs complete per-request timelines even when pipelined
-//! responses completed out of order.
+//! `Client::traces` and the wire `{"op":"trace","last":N}` op.
 //!
 //! ## The ring
 //!
@@ -39,8 +38,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 ///
 /// The stages partition the request's lifetime:
 /// `encode + queue_wait + assemble + compute + write ≈ total` (the
-/// remainder is scheduler bookkeeping between stage boundaries —
-/// microseconds, not milliseconds).
+/// remainder is bookkeeping between stage boundaries — microseconds, not
+/// milliseconds).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceSpan {
     /// The request's trace id: a numeric wire `"id"` verbatim, a hash of a
@@ -49,18 +48,19 @@ pub struct TraceSpan {
     pub trace_id: u64,
     /// Admission-side validation + rotation-angle encoding.
     pub encode_ns: u64,
-    /// Time spent in the bounded queue before scheduler pickup.
+    /// Time spent queued before evaluation: always 0, since every request
+    /// runs to completion on its admitting thread.
     pub queue_wait_ns: u64,
-    /// Scheduler batch-assembly (drain → group → dispatch).
+    /// Batch assembly: always 0, since no request is batched.
     pub assemble_ns: u64,
-    /// Batched evaluation of the group this request rode in.
+    /// The request's evaluation.
     pub compute_ns: u64,
     /// Response serialisation + socket drain (0 for in-process requests,
     /// which have no write stage).
     pub write_ns: u64,
     /// End-to-end: request received → response delivered.
     pub total_ns: u64,
-    /// Number of requests in the evaluated batch group (1 = unbatched).
+    /// Number of requests evaluated together: always 1.
     pub batch_size: u64,
 }
 
@@ -260,9 +260,8 @@ impl TraceRing {
     }
 }
 
-/// Per-request trace bookkeeping carried by a request's response slot:
-/// identity and arrival time are fixed at admission; stage durations are
-/// stamped by whichever thread finishes the stage.
+/// Per-request trace bookkeeping: identity and arrival time are fixed at
+/// admission; the stage durations are stamped as the request is answered.
 #[derive(Debug)]
 pub(crate) struct TraceState {
     /// See [`TraceSpan::trace_id`].
@@ -270,15 +269,12 @@ pub(crate) struct TraceState {
     /// When the request entered the runtime (wire frame interpreted /
     /// `submit` called).
     pub(crate) received: Instant,
-    /// True when a wire frontend owns the write stage: the scheduler then
+    /// True when a wire frontend owns the write stage: the runtime then
     /// leaves span recording to the frontend's write-completion hook
-    /// instead of recording at fulfilment.
+    /// instead of recording when the request is answered.
     pub(crate) wire_managed: bool,
-    pub(crate) encode_ns: AtomicU64,
-    pub(crate) queue_wait_ns: AtomicU64,
-    pub(crate) assemble_ns: AtomicU64,
-    pub(crate) compute_ns: AtomicU64,
-    pub(crate) batch_size: AtomicU64,
+    pub(crate) encode_ns: u64,
+    pub(crate) compute_ns: u64,
 }
 
 impl TraceState {
@@ -287,11 +283,8 @@ impl TraceState {
             trace_id,
             received,
             wire_managed,
-            encode_ns: AtomicU64::new(0),
-            queue_wait_ns: AtomicU64::new(0),
-            assemble_ns: AtomicU64::new(0),
-            compute_ns: AtomicU64::new(0),
-            batch_size: AtomicU64::new(0),
+            encode_ns: 0,
+            compute_ns: 0,
         }
     }
 
@@ -299,13 +292,13 @@ impl TraceState {
     pub(crate) fn span(&self, write_ns: u64, total_ns: u64) -> TraceSpan {
         TraceSpan {
             trace_id: self.trace_id,
-            encode_ns: self.encode_ns.load(Ordering::Relaxed),
-            queue_wait_ns: self.queue_wait_ns.load(Ordering::Relaxed),
-            assemble_ns: self.assemble_ns.load(Ordering::Relaxed),
-            compute_ns: self.compute_ns.load(Ordering::Relaxed),
+            encode_ns: self.encode_ns,
+            queue_wait_ns: 0,
+            assemble_ns: 0,
+            compute_ns: self.compute_ns,
             write_ns,
             total_ns,
-            batch_size: self.batch_size.load(Ordering::Relaxed),
+            batch_size: 1,
         }
     }
 }

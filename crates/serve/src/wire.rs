@@ -20,14 +20,11 @@
 //!   timelines — see [`crate::trace`]), `{"op":"ping"}`.
 //! * **Request ids / multiplexing** — a request may carry an `"id"` field
 //!   (any JSON value; clients normally use integers). The response echoes
-//!   the same `"id"` verbatim. A connection may have **any number of
-//!   requests in flight**, and responses to id-tagged requests may arrive
-//!   **in any order** — the id, not arrival order, matches a response to
-//!   its request. (In practice control ops answer immediately while
-//!   predictions round-trip through the batching scheduler, so a pipelined
-//!   burst observably reorders.) Requests without an `"id"` are answered
-//!   without one, so a strictly one-at-a-time client — [`WireClient::call`]
-//!   — needs no id bookkeeping.
+//!   the same `"id"` verbatim. A client may pipeline **any number of
+//!   requests** on one connection; the id matches a response to its
+//!   request. Requests without an `"id"` are answered without one, so a
+//!   strictly one-at-a-time client — [`WireClient::call`] — needs no id
+//!   bookkeeping.
 //! * **Responses** — `{"ok":true,…}` on success;
 //!   `{"ok":false,"kind":"…","error":"…"}` on failure, where `kind` is the
 //!   stable [`ServeError::kind`] discriminator (`"saturated"` is the
@@ -84,8 +81,8 @@ pub struct WireConfig {
     pub write_timeout: Option<Duration>,
     /// Number of event-loop shards of the
     /// [`WireServer`](crate::eventloop::WireServer): independent epoll
-    /// loops, each owning a subset of the connections, all feeding the
-    /// same micro-batching scheduler.
+    /// loops, each owning a subset of the connections and answering its
+    /// predicts on its own thread.
     pub shards: usize,
 }
 
@@ -323,13 +320,12 @@ impl FrameDecoder {
     }
 }
 
-/// What a received frame asks the server to do: answer immediately
-/// (control ops, malformed requests), or submit a prediction whose
-/// response arrives asynchronously from the scheduler.
+/// What a received frame asks the server to do: answer from the frame
+/// alone (control ops, malformed requests), or run a prediction.
 pub(crate) enum WireAction {
     /// A complete response, ready to send (already id-tagged).
     Respond(Json),
-    /// A well-formed predict request: submit it, echo `id` on completion.
+    /// A well-formed predict request: submit it, echo `id` on the answer.
     Predict {
         /// Registry model name.
         model: String,

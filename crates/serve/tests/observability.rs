@@ -1,5 +1,5 @@
 //! End-to-end observability tests: the `trace` op must reconstruct a
-//! complete stage timeline for pipelined (out-of-order) requests on the
+//! complete stage timeline for pipelined requests on the
 //! wire server, and the Prometheus-style `metrics_text` exposition must
 //! agree with the JSON `metrics` op it rides alongside.
 

@@ -1,10 +1,10 @@
-//! Run-to-completion serving: under a zero batch window, a product-state
-//! artifact with no shadow is answered on the admitting thread — the
-//! in-process caller or the wire shard — and never visits the queue.
-//! These tests pin what that path must keep from the scheduler path
-//! (bit-identical answers, version pinning across hot-swap, complete trace
-//! spans, flush accounting, lossless shutdown) and which deployments must
-//! stay on the scheduler (shadowed, entangled, nonzero window).
+//! Run-to-completion serving: every request is answered on the thread
+//! that admits it — the in-process caller or the wire shard — before
+//! `submit` returns, whatever the artifact kind and whether or not a
+//! shadow mirrors it. These tests pin what that path keeps: bit-identical
+//! answers for deterministic kinds, seed streams that follow the admission
+//! order for stochastic ones, version pinning across hot-swap, complete
+//! trace spans, flush accounting, shadow mirroring and lossless shutdown.
 
 mod common;
 
@@ -13,23 +13,16 @@ use quclassi::model::{QuClassiConfig, QuClassiModel};
 use quclassi::swap_test::FidelityEstimator;
 use quclassi_infer::{CompiledModel, Prediction};
 use quclassi_serve::json::Json;
-use quclassi_serve::{
-    CompletionNotifier, ServeConfig, ServeError, ServeRuntime, TraceSpan, WireClient, WireServer,
-};
+use quclassi_serve::{ServeConfig, ServeError, ServeRuntime, TraceSpan, WireClient, WireServer};
 use quclassi_sim::batch::BatchExecutor;
+use quclassi_sim::device::DeviceModel;
+use quclassi_sim::executor::Executor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn zero_window() -> ServeConfig {
-    ServeConfig {
-        batch_window: Duration::ZERO,
-        ..ServeConfig::default()
-    }
-}
 
 fn samples(n: usize) -> Vec<Vec<f64>> {
     (0..n)
@@ -44,13 +37,21 @@ fn direct(artifact: &CompiledModel, x: &[f64]) -> Prediction {
         .unwrap()
 }
 
+/// A 3-class artifact over 4 features with random parameters from `seed`.
+fn artifact(config: QuClassiConfig, estimator: FidelityEstimator, seed: u64) -> CompiledModel {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let model = QuClassiModel::with_random_parameters(config, &mut rng).unwrap();
+    CompiledModel::compile(&model, estimator).unwrap()
+}
+
 /// An entangled (QC-SDE) analytic artifact: scored by the GEMM path, not
 /// as product states.
 fn entangled(seed: u64) -> CompiledModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model =
-        QuClassiModel::with_random_parameters(QuClassiConfig::qc_sde(4, 3), &mut rng).unwrap();
-    CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap()
+    artifact(
+        QuClassiConfig::qc_sde(4, 3),
+        FidelityEstimator::analytic(),
+        seed,
+    )
 }
 
 fn assert_inline_span(span: &TraceSpan) {
@@ -63,13 +64,17 @@ fn assert_inline_span(span: &TraceSpan) {
 
 #[test]
 fn in_process_answers_are_ready_at_submit_and_bit_identical() {
-    let runtime = started_runtime(zero_window());
+    let runtime = started_runtime(ServeConfig::default());
     let client = runtime.client();
     let reference = compiled(7);
     let xs = samples(12);
-    for x in &xs {
+    for (i, x) in xs.iter().enumerate() {
         let pending = client.submit("iris", x).unwrap();
-        assert!(pending.is_ready(), "answered before submit returned");
+        assert_eq!(
+            client.metrics().completed,
+            i as u64 + 1,
+            "answered before submit returned"
+        );
         let response = pending.wait().unwrap();
         assert_eq!(response.prediction, direct(&reference, x));
         assert_eq!(response.version, 1);
@@ -84,40 +89,139 @@ fn in_process_answers_are_ready_at_submit_and_bit_identical() {
     let n = xs.len() as u64;
     assert_eq!((m.admitted, m.completed, m.failed), (n, n, 0));
     assert_eq!((m.batches, m.batched_requests), (n, n));
-    assert_eq!(m.flush_on_deadline, n, "a zero window has always expired");
+    assert_eq!(m.flush_on_deadline, n, "every request is a flush of one");
     assert_eq!(m.peak_queue_depth, 0, "nothing was queued");
     assert_eq!(m.in_flight, 0);
-    assert_eq!(m.stage_queue_wait.count(), n);
+    assert_eq!(m.stage_queue_wait.count(), 0, "no request waits in a queue");
     assert_eq!(m.stage_compute.count(), n);
     assert_eq!(m.latency.count(), n);
 }
 
 #[test]
-fn notifier_fires_once_after_the_inline_answer_is_published() {
-    let runtime = started_runtime(zero_window());
-    let client = runtime.client();
-    let fired = Arc::new(AtomicU64::new(0));
-    let notifier: CompletionNotifier = {
-        let fired = Arc::clone(&fired);
-        Arc::new(move || {
-            fired.fetch_add(1, Ordering::Relaxed);
+fn every_artifact_kind_shadowed_or_not_is_answered_at_submit() {
+    let noisy = DeviceModel::ibmq_london().noise;
+    let kinds: Vec<(&str, QuClassiConfig, FidelityEstimator, bool)> = vec![
+        (
+            "QC-S analytic",
+            QuClassiConfig::qc_s(4, 3),
+            FidelityEstimator::analytic(),
+            true,
+        ),
+        (
+            "QC-S exact SWAP test",
+            QuClassiConfig::qc_s(4, 3),
+            FidelityEstimator::swap_test(Executor::ideal()),
+            true,
+        ),
+        (
+            "QC-SDE analytic",
+            QuClassiConfig::qc_sde(4, 3),
+            FidelityEstimator::analytic(),
+            true,
+        ),
+        (
+            "QC-SDE exact SWAP test",
+            QuClassiConfig::qc_sde(4, 3),
+            FidelityEstimator::swap_test(Executor::ideal()),
+            true,
+        ),
+        (
+            "QC-S 64 shots",
+            QuClassiConfig::qc_s(4, 3),
+            FidelityEstimator::swap_test(Executor::ideal().with_shots(Some(64))),
+            false,
+        ),
+        (
+            "QC-S noisy",
+            QuClassiConfig::qc_s(4, 3),
+            FidelityEstimator::swap_test(Executor::noisy(noisy).with_trajectories(2)),
+            false,
+        ),
+    ];
+    for (name, config, estimator, deterministic) in kinds {
+        for shadowed in [false, true] {
+            let runtime =
+                ServeRuntime::start(ServeConfig::default(), BatchExecutor::new(2, 0)).unwrap();
+            runtime
+                .deploy("m", artifact(config.clone(), estimator.clone(), 7))
+                .unwrap();
+            if shadowed {
+                let candidate = artifact(config.clone(), estimator.clone(), 8);
+                runtime.start_shadow("m", candidate, 1.0, 1).unwrap();
+            }
+            let client = runtime.client();
+            let reference = artifact(config.clone(), estimator.clone(), 7);
+            for (i, x) in samples(4).iter().enumerate() {
+                let pending = client.submit("m", x).unwrap();
+                let m = client.metrics();
+                let answered = i as u64 + 1;
+                assert_eq!(m.completed, answered, "{name}: answered at submit");
+                let mirrored = if shadowed { answered } else { 0 };
+                assert_eq!(m.shadow_requests, mirrored, "{name}: mirrored at submit");
+                let response = pending.wait().unwrap();
+                if deterministic {
+                    assert_eq!(response.prediction, direct(&reference, x), "{name}");
+                }
+            }
+            let m = runtime.shutdown();
+            assert_eq!(m.peak_queue_depth, 0, "{name}: nothing was queued");
+        }
+    }
+}
+
+#[test]
+fn stochastic_answers_follow_the_admission_order_seed_stream() {
+    const BASE_SEED: u64 = 99;
+    let estimator = FidelityEstimator::swap_test(Executor::ideal().with_shots(Some(1024)));
+    let reference = artifact(QuClassiConfig::qc_s(4, 3), estimator.clone(), 7);
+    let xs = samples(10);
+    // Submission `i` is evaluated alone on the stream of admission `i`.
+    let want: Vec<Prediction> = xs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| {
+            let angles = reference.encoder().encoding_angles(x).unwrap();
+            let seed = BatchExecutor::job_seed(BatchExecutor::job_seed(BASE_SEED, i as u64), 0);
+            reference
+                .predict_many_from_angles(vec![angles], &BatchExecutor::single_threaded(0), seed)
+                .unwrap()
+                .remove(0)
         })
-    };
-    let pending = client
-        .submit_with_notifier("iris", &[0.2, 0.4, 0.6, 0.8], notifier)
+        .collect();
+    // Two runtimes for each worker count: the same answers every time.
+    for threads in [1, 2, 1, 2] {
+        let runtime = ServeRuntime::start(
+            ServeConfig {
+                base_seed: BASE_SEED,
+                ..ServeConfig::default()
+            },
+            BatchExecutor::new(threads, 0),
+        )
         .unwrap();
-    assert_eq!(fired.load(Ordering::Relaxed), 1);
-    let answer = pending.take_if_ready().expect("published before notifying");
-    assert_eq!(
-        answer.unwrap().prediction,
-        direct(&compiled(7), &[0.2, 0.4, 0.6, 0.8])
-    );
-    runtime.shutdown();
+        runtime
+            .deploy(
+                "m",
+                artifact(QuClassiConfig::qc_s(4, 3), estimator.clone(), 7),
+            )
+            .unwrap();
+        let client = runtime.client();
+        for (i, (x, want)) in xs.iter().zip(&want).enumerate() {
+            let got = client.predict("m", x).unwrap().prediction;
+            assert_eq!(&got, want, "submission {i}, {threads} worker(s)");
+        }
+        runtime.shutdown();
+    }
+    // The shots do draw: some answer differs from the exact fidelities.
+    let exact = artifact(QuClassiConfig::qc_s(4, 3), FidelityEstimator::analytic(), 7);
+    assert!(xs
+        .iter()
+        .zip(&want)
+        .any(|(x, w)| direct(&exact, x).fidelities != w.fidelities));
 }
 
 #[test]
 fn hot_swap_under_load_pins_each_request_to_its_admitting_version() {
-    let runtime = Arc::new(started_runtime(zero_window()));
+    let runtime = Arc::new(started_runtime(ServeConfig::default()));
     let references = [compiled(7), compiled(8), compiled(9)];
     let xs = Arc::new(samples(8));
     let stop = Arc::new(AtomicBool::new(false));
@@ -154,7 +258,7 @@ fn hot_swap_under_load_pins_each_request_to_its_admitting_version() {
 
 #[test]
 fn wire_predicts_are_answered_by_the_shard_with_complete_spans() {
-    let runtime = started_runtime(zero_window());
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
     let reference = compiled(7);
@@ -203,7 +307,7 @@ fn wire_predicts_are_answered_by_the_shard_with_complete_spans() {
 
 #[test]
 fn wire_answers_follow_hot_swaps_and_shadows_bit_for_bit() {
-    let runtime = started_runtime(zero_window());
+    let runtime = started_runtime(ServeConfig::default());
     let server = WireServer::start("127.0.0.1:0", runtime.client()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
     let xs = samples(6);
@@ -220,62 +324,34 @@ fn wire_answers_follow_hot_swaps_and_shadows_bit_for_bit() {
     check(&mut wire, 1, &compiled(7));
     runtime.deploy("iris", compiled(8)).unwrap();
     check(&mut wire, 2, &compiled(8));
-    // A shadow moves the model back onto the scheduler; answers still
-    // come from the live version, bit for bit.
+    // Entangled artifacts, analytic and exact SWAP test, run on the shard
+    // too.
+    runtime.deploy("iris", entangled(9)).unwrap();
+    check(&mut wire, 3, &entangled(9));
+    let exact = || {
+        let estimator = FidelityEstimator::swap_test(Executor::ideal());
+        artifact(QuClassiConfig::qc_sde(4, 3), estimator, 10)
+    };
+    runtime.deploy("iris", exact()).unwrap();
+    check(&mut wire, 4, &exact());
+    // The shard mirrors each answered predict onto the shadow; answers
+    // still come from the live version, bit for bit.
     runtime.start_shadow("iris", compiled(9), 1.0, 1).unwrap();
-    check(&mut wire, 2, &compiled(8));
+    check(&mut wire, 4, &exact());
     server.shutdown();
     let m = runtime.shutdown();
-    assert!(m.shadow_requests > 0, "wire traffic was mirrored");
-    assert!(m.peak_queue_depth >= 1, "shadowed predicts were queued");
-}
-
-#[test]
-fn a_shadowed_model_stays_on_the_scheduler_and_still_mirrors() {
-    let runtime = started_runtime(zero_window());
-    runtime.start_shadow("iris", compiled(8), 1.0, 1).unwrap();
-    let client = runtime.client();
-    let reference = compiled(7);
-    for x in &samples(16) {
-        assert_eq!(
-            client.predict("iris", x).unwrap().prediction,
-            direct(&reference, x)
-        );
-    }
-    let m = runtime.shutdown();
-    assert!(m.peak_queue_depth >= 1, "shadowed requests are queued");
-    assert!(m.shadow_requests > 0, "the shadow saw mirrored traffic");
-}
-
-#[test]
-fn entangled_or_windowed_deployments_stay_on_the_scheduler() {
-    let windowed = ServeConfig {
-        batch_window: Duration::from_micros(50),
-        ..ServeConfig::default()
-    };
-    for (config, artifact, reference) in [
-        (zero_window(), entangled(7), entangled(7)),
-        (windowed, compiled(7), compiled(7)),
-    ] {
-        let runtime = ServeRuntime::start(config, BatchExecutor::single_threaded(0)).unwrap();
-        runtime.deploy("m", artifact).unwrap();
-        let client = runtime.client();
-        for x in &samples(8) {
-            assert_eq!(
-                client.predict("m", x).unwrap().prediction,
-                direct(&reference, x)
-            );
-        }
-        let m = runtime.shutdown();
-        assert!(m.peak_queue_depth >= 1, "requests went through the queue");
-        assert_eq!(m.completed, 8);
-    }
+    assert_eq!(
+        m.shadow_requests, 6,
+        "every shadowed wire predict was mirrored"
+    );
+    assert_eq!(m.peak_queue_depth, 0, "nothing was queued");
 }
 
 #[test]
 fn shutdown_racing_submitters_answers_and_counts_every_admitted_request() {
-    for (artifact, config) in [(compiled(7), zero_window()), (entangled(7), zero_window())] {
-        let runtime = ServeRuntime::start(config, BatchExecutor::single_threaded(0)).unwrap();
+    for artifact in [compiled(7), entangled(7)] {
+        let runtime =
+            ServeRuntime::start(ServeConfig::default(), BatchExecutor::single_threaded(0)).unwrap();
         runtime.deploy("m", artifact).unwrap();
         let submitters: Vec<_> = (0..3)
             .map(|p| {

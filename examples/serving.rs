@@ -39,15 +39,15 @@ fn train_iris(epochs: usize, rng: &mut StdRng) -> (CompiledModel, Vec<Vec<f64>>,
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
 
-    // 1. Start the runtime: bounded queue, micro-batching scheduler, and a
-    //    thread pool sized from the environment. The batching knobs come
-    //    from QUCLASSI_MAX_BATCH / QUCLASSI_BATCH_WINDOW_US when set.
+    // 1. Start the runtime: an admission gate capping the requests in
+    //    flight (QUCLASSI_QUEUE_CAPACITY when set), and a thread pool sized
+    //    from the environment. Every request runs to completion on the
+    //    thread that submits it; the pool only serves artifacts that
+    //    simulate noisy circuits.
     let config = ServeConfig::from_env().expect("valid serve configuration");
     let executor = BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS");
     println!(
-        "starting runtime: max_batch={}, window={:?}, queue={}, {} executor thread(s)",
-        config.max_batch,
-        config.batch_window,
+        "starting runtime: capacity={}, {} executor thread(s)",
         config.queue_capacity,
         executor.threads()
     );
@@ -113,9 +113,8 @@ fn main() {
 
     // 5b. Request multiplexing: pipeline several predictions on the one
     //     connection without reading a response in between. Every request
-    //     carries an auto-assigned `id` echoed verbatim on its response —
-    //     the id, not arrival order, pairs them (the event loop may
-    //     complete batches out of submission order).
+    //     carries an auto-assigned `id` echoed verbatim on its response,
+    //     which pairs it with its request.
     let mut pending = std::collections::BTreeSet::new();
     for x in test_x.iter().take(4) {
         pending.insert(wire.send_predict("iris", x).unwrap());
@@ -134,7 +133,7 @@ fn main() {
     println!("pipelined 4 id-tagged predictions on one connection");
     server.shutdown();
 
-    // 6. Metrics: latency percentiles, batching efficiency, cache hits.
+    // 6. Metrics: latency percentiles, cache hits.
     let metrics = runtime.shutdown();
     println!("\n== serving metrics ==");
     println!(
@@ -142,19 +141,10 @@ fn main() {
         metrics.admitted, metrics.completed, metrics.rejected
     );
     println!(
-        "batches {}, mean occupancy {:.2}, flushes: size {}, deadline {}, close {}",
-        metrics.batches,
-        metrics.mean_batch_occupancy(),
-        metrics.flush_on_size,
-        metrics.flush_on_deadline,
-        metrics.flush_on_close
-    );
-    println!(
-        "latency p50 {:.1}µs, p90 {:.1}µs, p99 {:.1}µs; peak queue depth {}",
+        "latency p50 {:.1}µs, p90 {:.1}µs, p99 {:.1}µs",
         metrics.latency.p50_us(),
         metrics.latency.p90_us(),
-        metrics.latency.p99_us(),
-        metrics.peak_queue_depth
+        metrics.latency.p99_us()
     );
     for m in &metrics.models {
         println!(

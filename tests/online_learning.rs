@@ -54,8 +54,6 @@ fn quick_trainer() -> Trainer {
 fn started_runtime() -> ServeRuntime {
     ServeRuntime::start(
         ServeConfig {
-            batch_window: Duration::from_micros(200),
-            max_batch: 16,
             queue_capacity: 4096,
             base_seed: 0,
             ..ServeConfig::default()

@@ -2,8 +2,7 @@
 //! runtime, asserting the serving layer's core contract — **no lost or
 //! duplicated responses, and every response bit-identical to a direct
 //! `CompiledModel` evaluation** for the analytic estimator, regardless of
-//! batching window, batch size target, executor thread count, or arrival
-//! order.
+//! executor thread count or arrival order.
 
 use proptest::prelude::*;
 use quclassi::model::{QuClassiConfig, QuClassiModel};
@@ -15,7 +14,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn trained_compiled(seed: u64) -> CompiledModel {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -53,19 +51,10 @@ fn concurrent_producers_lose_nothing_and_match_direct_evaluation() {
     let pool = Arc::new(sample_pool(16));
     let reference = Arc::new(references(42, &pool));
 
-    // Sweep the knobs that must NOT change any answer: batching window,
-    // batch size target (1 = per-request serving), executor threads.
-    let configs = [
-        (Duration::ZERO, 32usize, 1usize),
-        (Duration::from_micros(200), 16, 1),
-        (Duration::from_millis(5), 64, 2),
-        (Duration::from_micros(100), 1, 4),
-    ];
-    for (window, max_batch, threads) in configs {
+    // Sweep the knob that must NOT change any answer: executor threads.
+    for threads in [1usize, 2, 4] {
         let runtime = ServeRuntime::start(
             ServeConfig {
-                batch_window: window,
-                max_batch,
                 queue_capacity: 4096,
                 base_seed: 0,
                 ..ServeConfig::default()
@@ -91,7 +80,7 @@ fn concurrent_producers_lose_nothing_and_match_direct_evaluation() {
                         assert_eq!(
                             response.prediction, reference[idx],
                             "producer {producer}, request {i}, sample {idx}, \
-                             window {window:?}, max_batch {max_batch}, {threads} threads"
+                             {threads} threads"
                         );
                         answered.fetch_add(1, Ordering::Relaxed);
                     }
@@ -126,8 +115,6 @@ fn hot_swap_under_load_serves_every_request_on_a_consistent_version() {
 
     let runtime = ServeRuntime::start(
         ServeConfig {
-            batch_window: Duration::from_micros(100),
-            max_batch: 8,
             queue_capacity: 4096,
             base_seed: 0,
             ..ServeConfig::default()
@@ -137,16 +124,23 @@ fn hot_swap_under_load_serves_every_request_on_a_consistent_version() {
     .unwrap();
     runtime.deploy("swap", trained_compiled(1)).unwrap();
 
+    // Each producer sends at least REQUESTS_PER_PRODUCER requests and
+    // keeps going until the swap has answered one of them, so the swap
+    // lands mid-flight on every schedule.
+    let answered = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..PRODUCERS)
         .map(|producer| {
             let client = runtime.client();
             let pool = Arc::clone(&pool);
             let v1 = Arc::clone(&reference_v1);
             let v2 = Arc::clone(&reference_v2);
+            let answered = Arc::clone(&answered);
             std::thread::spawn(move || {
                 let mut seen_versions = Vec::new();
-                for i in 0..REQUESTS_PER_PRODUCER {
+                let mut i = 0;
+                while i < REQUESTS_PER_PRODUCER || seen_versions.last() != Some(&2) {
                     let idx = (producer + i * 5) % pool.len();
+                    i += 1;
                     let response = client.predict("swap", &pool[idx]).unwrap();
                     // Whatever version served the request, the answer must
                     // be that version's exact direct evaluation.
@@ -157,14 +151,17 @@ fn hot_swap_under_load_serves_every_request_on_a_consistent_version() {
                     };
                     assert_eq!(&response.prediction, expected);
                     seen_versions.push(response.version);
+                    answered.fetch_add(1, Ordering::Relaxed);
                 }
                 seen_versions
             })
         })
         .collect();
 
-    // Swap mid-flight.
-    std::thread::sleep(Duration::from_millis(2));
+    // Swap mid-flight, once the producers are under way.
+    while answered.load(Ordering::Relaxed) < PRODUCERS * 4 {
+        std::thread::yield_now();
+    }
     runtime.deploy("swap", trained_compiled(2)).unwrap();
 
     let mut all_versions = Vec::new();
@@ -184,10 +181,7 @@ fn hot_swap_under_load_serves_every_request_on_a_consistent_version() {
         "the swap should have become visible to producers"
     );
     let metrics = runtime.shutdown();
-    assert_eq!(
-        metrics.completed,
-        (PRODUCERS * REQUESTS_PER_PRODUCER) as u64
-    );
+    assert_eq!(metrics.completed, all_versions.len() as u64);
     assert_eq!(metrics.failed, 0);
     // Nothing still drains once all requests finished.
     assert_eq!(metrics.draining_models, 0);
@@ -195,14 +189,14 @@ fn hot_swap_under_load_serves_every_request_on_a_consistent_version() {
 
 #[test]
 fn saturated_runtime_rejects_excess_but_answers_every_admitted_request() {
-    // A tiny queue with a slow (large-window) scheduler: concurrent
-    // producers must see a mix of served and saturation-rejected requests,
-    // with admitted + rejected == offered and no hangs.
+    // A 4-request cap under 8 concurrent producers: whether any request is
+    // refused depends on how the producers happen to overlap, but on every
+    // schedule each refusal is a retryable saturation, every admitted
+    // request is answered, and admitted + rejected == offered. (The
+    // deterministic over-cap refusal is a unit test of the gate.)
     let pool = sample_pool(4);
     let runtime = ServeRuntime::start(
         ServeConfig {
-            batch_window: Duration::from_millis(30),
-            max_batch: 64,
             queue_capacity: 4,
             base_seed: 0,
             ..ServeConfig::default()
@@ -250,11 +244,7 @@ fn saturated_runtime_rejects_excess_but_answers_every_admitted_request() {
     assert_eq!(metrics.admitted, served.load(Ordering::Relaxed) as u64);
     assert_eq!(metrics.completed, metrics.admitted, "admitted ⇒ answered");
     assert_eq!(metrics.rejected, rejected.load(Ordering::Relaxed) as u64);
-    assert!(
-        metrics.rejected > 0,
-        "a 4-deep queue under 80 eager requests must saturate at least once"
-    );
-    assert!(metrics.peak_queue_depth <= 4);
+    assert_eq!(metrics.in_flight, 0);
 }
 
 proptest! {
@@ -265,12 +255,10 @@ proptest! {
     /// Shadow evaluation is invisible to users: with a candidate mirroring
     /// live traffic at any rate, every user response stays bit-identical
     /// to the direct evaluation of the live artifact — which is exactly
-    /// what a shadow-disabled runtime returns — for any batch window,
-    /// batch size target, and executor thread count.
+    /// what a shadow-disabled runtime returns — for any executor thread
+    /// count.
     #[test]
     fn shadow_mirroring_never_changes_user_responses(
-        window_us in 0u64..400,
-        max_batch in 1usize..24,
         threads in 1usize..4,
         rate_pct in 1u32..=100,
     ) {
@@ -281,8 +269,6 @@ proptest! {
 
         let runtime = ServeRuntime::start(
             ServeConfig {
-                batch_window: Duration::from_micros(window_us),
-                max_batch,
                 queue_capacity: 4096,
                 base_seed: 0,
                 ..ServeConfig::default()
@@ -323,12 +309,10 @@ proptest! {
         let total = (PRODUCERS * REQUESTS_PER_PRODUCER) as u64;
         prop_assert_eq!(metrics.completed, total);
         prop_assert_eq!(metrics.failed, 0);
-        // The mirror only ever duplicates traffic, never consumes it. The
-        // global counter may run ahead of the report: a final mirrored
-        // batch can still be evaluating (after its user slots were
-        // fulfilled) when the shadow is uninstalled.
+        // The mirror only ever duplicates traffic, never consumes it. A
+        // request is mirrored before its `predict` returns, so once every
+        // producer has joined the report has seen every mirror.
         prop_assert!(report.requests <= total);
-        prop_assert!(metrics.shadow_requests >= report.requests);
-        prop_assert!(metrics.shadow_requests <= total);
+        prop_assert_eq!(metrics.shadow_requests, report.requests);
     }
 }
