@@ -63,14 +63,27 @@ fn serve_uncompiled(w: &Workload, estimator: &FidelityEstimator) -> usize {
     acc
 }
 
-/// The compiled single-sample path (cache disabled: pure evaluation cost).
-fn serve_compiled_single(w: &Workload, compiled: &CompiledModel) -> usize {
+/// The compiled single-sample path, one `predict` per input: pure
+/// evaluation cost with the cache disabled, else hits or misses as the
+/// inputs and the cache's contents decide.
+fn serve_compiled_single(xs: &[Vec<f64>], compiled: &CompiledModel) -> usize {
     let mut rng = StdRng::seed_from_u64(0);
-    let mut acc = 0;
-    for x in &w.xs {
-        acc += compiled.predict(x, &mut rng).unwrap();
-    }
-    acc
+    xs.iter()
+        .map(|x| compiled.predict(x, &mut rng).unwrap())
+        .sum()
+}
+
+/// Distinct probe inputs, `count` of them: a default-capacity cache
+/// cycled through more inputs than it holds misses on every lookup, so
+/// serving them times a cache miss.
+fn distinct_inputs(dims: usize, count: usize) -> Vec<Vec<f64>> {
+    (0..count)
+        .map(|s| {
+            (0..dims)
+                .map(|i| 0.05 + 0.9 * ((s * dims + i) as f64 * 0.618_033_988_749_895).fract())
+                .collect()
+        })
+        .collect()
 }
 
 /// The compiled batched path: one `predict_many` fan-out over the pool.
@@ -96,7 +109,7 @@ fn bench_serving_paths(c: &mut Criterion) {
             .unwrap()
             .with_cache_capacity(0);
         group.bench_with_input(BenchmarkId::new("compiled_predict", dims), &w, |b, w| {
-            b.iter(|| black_box(serve_compiled_single(w, &compiled)))
+            b.iter(|| black_box(serve_compiled_single(&w.xs, &compiled)))
         });
         let batch = BatchExecutor::from_env(0).expect("invalid QUCLASSI_THREADS");
         group.bench_with_input(
@@ -134,18 +147,26 @@ fn emit_entry(
     }
 
     let uncompiled_ns = bench_json::median_ns(reps, || serve_uncompiled(w, estimator)) / n;
-    let compiled_ns = bench_json::median_ns(reps, || serve_compiled_single(w, &compiled)) / n;
+    let compiled_ns = bench_json::median_ns(reps, || serve_compiled_single(&w.xs, &compiled)) / n;
     // Warm the fingerprint cache once, then measure repeated-input serving.
-    serve_compiled_single(w, &cached);
-    let cached_ns = bench_json::median_ns(reps, || serve_compiled_single(w, &cached)) / n;
+    serve_compiled_single(&w.xs, &cached);
+    let cached_ns = bench_json::median_ns(reps, || serve_compiled_single(&w.xs, &cached)) / n;
     let batched_ns =
         bench_json::median_ns(reps, || serve_compiled_batched(w, &compiled, batch)) / n;
+    // Twice the default capacity of distinct inputs, cycled in order: every
+    // lookup misses and, once the cache is full, every insert evicts.
+    let fresh = CompiledModel::compile(&w.model, estimator.clone()).unwrap();
+    let misses = distinct_inputs(w.model.config().data_dim, 2 * fresh.cache_stats().capacity);
+    let miss_ns = bench_json::median_ns(reps, || serve_compiled_single(&misses, &fresh))
+        / misses.len() as f64;
+    assert_eq!(fresh.cache_stats().hits, 0, "every probe must miss");
 
     format!(
         concat!(
             "    {{\"workload\": \"{}\", \"total_qubits\": {}, \"method\": \"{}\", ",
             "\"samples\": {}, \"uncompiled_single_ns\": {:.0}, \"compiled_single_ns\": {:.0}, ",
-            "\"compiled_cached_ns\": {:.0}, \"compiled_batched_per_sample_ns\": {:.0}, ",
+            "\"compiled_cached_ns\": {:.0}, \"compiled_miss_ns\": {:.0}, ",
+            "\"compiled_batched_per_sample_ns\": {:.0}, ",
             "\"speedup_single\": {:.2}, \"speedup_cached\": {:.2}, \"speedup_batched\": {:.2}, ",
             "\"threads\": {}, \"hardware_bound\": {}}}"
         ),
@@ -156,6 +177,7 @@ fn emit_entry(
         uncompiled_ns,
         compiled_ns,
         cached_ns,
+        miss_ns,
         batched_ns,
         uncompiled_ns / compiled_ns,
         uncompiled_ns / cached_ns,

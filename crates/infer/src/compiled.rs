@@ -1,6 +1,6 @@
 //! The immutable serving artifact: a trained model compiled for inference.
 
-use crate::cache::{fingerprint, CacheStats, EncodingCache};
+use crate::cache::{CacheStats, EncodingCache};
 use quclassi::encoding::DataEncoder;
 use quclassi::error::QuClassiError;
 use quclassi::loss::softmax;
@@ -262,8 +262,8 @@ impl CompiledModel {
     }
 
     /// Fidelities between one encoded sample (given as angles) and every
-    /// class, computed sequentially — the single-sample hot path. Shots
-    /// and noise draw from `rng` class by class.
+    /// class, computed sequentially. Shots and noise draw from `rng` class
+    /// by class.
     fn fidelities_from_angles<R: Rng + ?Sized>(
         &self,
         angles: &[f64],
@@ -274,14 +274,7 @@ impl CompiledModel {
                 product_fidelities(&self.encoder, class_states, angles)?
             }
             CompiledClasses::Analytic { class_matrix } => {
-                // Product-state fast preparation: bit-identical fidelities
-                // to the uncompiled `encode_state` path (see
-                // `DataEncoder::encode_state_from_angles`), swept against
-                // the packed class plane in one GEMM row pass.
-                let data = self.encoder.encode_state_from_angles(angles)?;
-                let mut fidelities = vec![0.0; class_matrix.rows()];
-                class_matrix.fidelities_into(&data, &mut fidelities)?;
-                fidelities
+                analytic_fidelities(&self.encoder, class_matrix, angles)?
             }
             CompiledClasses::NoisySwapTest { circuits, ancilla } => {
                 return circuits
@@ -320,15 +313,30 @@ impl CompiledModel {
         rng: &mut R,
     ) -> Result<Vec<f64>, QuClassiError> {
         let angles = self.encoder.encoding_angles(x)?;
+        self.cached_fidelities(&angles, || self.fidelities_from_angles(&angles, rng))
+    }
+
+    /// The one cached single-sample path: looks `angles` up under one lock,
+    /// runs `evaluate` on a miss outside it, and inserts the result under
+    /// a second. The fingerprint is hashed once, for both.
+    fn cached_fidelities(
+        &self,
+        angles: &[f64],
+        evaluate: impl FnOnce() -> Result<Vec<f64>, QuClassiError>,
+    ) -> Result<Vec<f64>, QuClassiError> {
         if !self.cache_enabled() {
-            return self.fidelities_from_angles(&angles, rng);
+            return evaluate();
         }
-        let key = fingerprint(&angles);
-        if let Some(hit) = self.lock_cache().get(&key) {
-            return Ok(hit);
-        }
-        let fidelities = self.fidelities_from_angles(&angles, rng)?;
-        self.lock_cache().insert(key, fidelities.clone());
+        let hash = {
+            let mut cache = self.lock_cache();
+            let hash = cache.hash(angles);
+            if let Some(hit) = cache.get(hash, angles) {
+                return Ok(hit.to_vec());
+            }
+            hash
+        };
+        let fidelities = evaluate()?;
+        self.lock_cache().insert(hash, angles, &fidelities);
         Ok(fidelities)
     }
 
@@ -365,6 +373,38 @@ impl CompiledModel {
         rng: &mut R,
     ) -> Result<Vec<(usize, f64)>, QuClassiError> {
         Ok(self.predict_one(x, rng)?.top_k(k))
+    }
+
+    /// Scores one sample whose encoding angles were already computed (via
+    /// [`quclassi::encoding::DataEncoder::encoding_angles`]): the entry
+    /// point of a serving runtime that validates and encodes each request
+    /// once at admission.
+    ///
+    /// The answer, and its effect on the cache counters, are bit-identical
+    /// to `predict_many_from_angles(vec![angles.to_vec()], batch, seed)`,
+    /// without the batch bookkeeping. A deterministic artifact scores the
+    /// sample on the calling thread and ignores `batch` and `seed`; a
+    /// stochastic one evaluates it as a one-row batch, so its draws come
+    /// from the same `(seed, job index)` streams.
+    pub fn predict_from_angles(
+        &self,
+        angles: &[f64],
+        batch: &BatchExecutor,
+        seed: u64,
+    ) -> Result<Prediction, QuClassiError> {
+        self.encoder.validate_angles(angles)?;
+        let fidelities = self.cached_fidelities(angles, || match &self.classes {
+            CompiledClasses::Product { class_states } if !self.estimator.is_stochastic() => {
+                product_fidelities(&self.encoder, class_states, angles)
+            }
+            CompiledClasses::Analytic { class_matrix } if !self.estimator.is_stochastic() => {
+                analytic_fidelities(&self.encoder, class_matrix, angles)
+            }
+            _ => Ok(self
+                .batched_fidelities(&[angles.to_vec()], batch, seed)?
+                .remove(0)),
+        })?;
+        Ok(prediction_from_fidelities(fidelities))
     }
 
     /// Scores a batch of samples, fanning the evaluations over `batch`.
@@ -437,35 +477,45 @@ impl CompiledModel {
         // by fingerprint (first appearance wins — a pure function of the
         // input batch, so thread count cannot perturb it), evaluate once
         // each.
-        let keys: Vec<Vec<u64>> = angles.iter().map(|a| fingerprint(a)).collect();
-        let mut resolved: Vec<Option<Vec<f64>>> = vec![None; angles.len()];
+        let mut hashes = Vec::with_capacity(angles.len());
+        let mut resolved: Vec<Option<Vec<f64>>> = Vec::with_capacity(angles.len());
         {
             let mut cache = self.lock_cache();
-            for (slot, key) in resolved.iter_mut().zip(keys.iter()) {
-                *slot = cache.get(key);
+            for a in &angles {
+                let hash = cache.hash(a);
+                resolved.push(cache.get(hash, a).map(<[f64]>::to_vec));
+                hashes.push(hash);
             }
         }
-        let mut miss_index: HashMap<&[u64], usize> = HashMap::new();
+        // Misses by hash. Two distinct fingerprints with one hash are both
+        // evaluated: dedup only saves work, so it may miss a duplicate.
+        let mut miss_index: HashMap<u64, usize> = HashMap::new();
         let mut miss_angles: Vec<Vec<f64>> = Vec::new();
-        let mut miss_keys: Vec<Vec<u64>> = Vec::new();
+        let mut miss_hashes: Vec<u64> = Vec::new();
         let mut sample_to_miss: Vec<Option<usize>> = vec![None; angles.len()];
-        for (i, key) in keys.iter().enumerate() {
+        for (i, &hash) in hashes.iter().enumerate() {
             if resolved[i].is_some() {
                 continue;
             }
-            let idx = *miss_index.entry(key.as_slice()).or_insert_with(|| {
-                miss_angles.push(angles[i].clone());
-                miss_keys.push(key.clone());
-                miss_angles.len() - 1
-            });
+            let idx = match miss_index.get(&hash) {
+                Some(&idx) if same_bits(&miss_angles[idx], &angles[i]) => idx,
+                _ => {
+                    miss_index.entry(hash).or_insert(miss_angles.len());
+                    miss_angles.push(angles[i].clone());
+                    miss_hashes.push(hash);
+                    miss_angles.len() - 1
+                }
+            };
             sample_to_miss[i] = Some(idx);
         }
 
         let miss_fidelities = self.batched_fidelities(&miss_angles, batch, base_seed)?;
         {
             let mut cache = self.lock_cache();
-            for (key, fidelities) in miss_keys.into_iter().zip(miss_fidelities.iter()) {
-                cache.insert(key, fidelities.clone());
+            for ((hash, a), fidelities) in
+                miss_hashes.iter().zip(&miss_angles).zip(&miss_fidelities)
+            {
+                cache.insert(*hash, a, fidelities);
             }
         }
 
@@ -597,6 +647,26 @@ fn product_fidelities(
         .iter()
         .map(|class| Ok(class.fidelity(&data)?))
         .collect()
+}
+
+/// Fidelities of one encoded sample against every packed class state:
+/// the product-state fast preparation (bit-identical to the uncompiled
+/// `encode_state` path, see `DataEncoder::encode_state_from_angles`), swept
+/// against the class plane in one GEMM row pass.
+fn analytic_fidelities(
+    encoder: &DataEncoder,
+    class_matrix: &StateMatrix,
+    angles: &[f64],
+) -> Result<Vec<f64>, QuClassiError> {
+    let data = encoder.encode_state_from_angles(angles)?;
+    let mut fidelities = vec![0.0; class_matrix.rows()];
+    class_matrix.fidelities_into(&data, &mut fidelities)?;
+    Ok(fidelities)
+}
+
+/// Whether two angle vectors have the same fingerprint (exact bits).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Splits a flat samples × classes list into one row per sample.
@@ -747,6 +817,84 @@ mod tests {
             .collect();
         let via_angles = fresh.predict_many_from_angles(angles, &batch, 0).unwrap();
         assert_eq!(via_angles, via_features);
+    }
+
+    #[test]
+    fn predict_from_angles_is_a_one_row_predict_many_from_angles() {
+        use quclassi_sim::noise::NoiseModel;
+        let noise = || NoiseModel::depolarizing(0.02, 0.05, 0.01).unwrap();
+        let estimators = [
+            ("analytic", FidelityEstimator::analytic()),
+            (
+                "exact swap",
+                FidelityEstimator::swap_test(Executor::ideal()),
+            ),
+            (
+                "shots",
+                FidelityEstimator::swap_test(Executor::ideal().with_shots(Some(256))),
+            ),
+            (
+                "trajectories",
+                FidelityEstimator::swap_test(Executor::noisy(noise()).with_trajectories(3)),
+            ),
+            (
+                "density",
+                FidelityEstimator::swap_test(Executor::noisy_density(noise())),
+            ),
+        ];
+        let configs = [QuClassiConfig::qc_s(4, 3), QuClassiConfig::qc_sde(4, 3)];
+        let bits =
+            |p: &Prediction| -> Vec<u64> { p.fidelities.iter().map(|f| f.to_bits()).collect() };
+        for (name, estimator) in estimators {
+            for config in configs.clone() {
+                let model =
+                    QuClassiModel::with_random_parameters(config, &mut StdRng::seed_from_u64(14))
+                        .unwrap();
+                // Two artifacts with the same history: one served sample by
+                // sample, the other through one-row batches.
+                let single = CompiledModel::compile(&model, estimator.clone()).unwrap();
+                let many = CompiledModel::compile(&model, estimator.clone()).unwrap();
+                // Repeats exercise hits as well as misses.
+                let mut xs = samples();
+                xs.extend(samples());
+                for threads in [1, 2] {
+                    let batch = BatchExecutor::new(threads, 0);
+                    for (i, x) in xs.iter().enumerate() {
+                        let angles = single.encoder().encoding_angles(x).unwrap();
+                        let seed = BatchExecutor::job_seed(5, i as u64);
+                        let got = single.predict_from_angles(&angles, &batch, seed).unwrap();
+                        let want = many
+                            .predict_many_from_angles(vec![angles], &batch, seed)
+                            .unwrap()
+                            .remove(0);
+                        assert_eq!(bits(&got), bits(&want), "{name} sample {i}");
+                        assert_eq!(got, want, "{name} sample {i}");
+                        assert_eq!(single.cache_stats(), many.cache_stats(), "{name}");
+                    }
+                }
+                // Three distinct encodings: each misses once, then hits.
+                let stats = single.cache_stats();
+                let want = if single.cache_enabled() {
+                    (13, 3)
+                } else {
+                    (0, 0)
+                };
+                assert_eq!((stats.hits, stats.misses), want, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn predict_from_angles_rejects_malformed_angles() {
+        let model = trained_model(15);
+        let compiled = CompiledModel::compile(&model, FidelityEstimator::analytic()).unwrap();
+        let batch = BatchExecutor::single_threaded(0);
+        assert!(compiled.predict_from_angles(&[0.2; 3], &batch, 0).is_err());
+        assert!(compiled
+            .predict_from_angles(&[0.1, f64::NAN, 0.2, 0.3], &batch, 0)
+            .is_err());
+        let stats = compiled.cache_stats();
+        assert_eq!((stats.misses, stats.entries), (0, 0));
     }
 
     #[test]

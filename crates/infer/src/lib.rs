@@ -27,10 +27,15 @@
 //!   [`quclassi_sim::batch::BatchExecutor`], returning softmaxed
 //!   probabilities, the arg-max label, and per-sample confidence/top-k
 //!   through [`Prediction`];
-//! * repeated and near-duplicate inputs are answered from an LRU cache
-//!   keyed by the sample's *encoding fingerprint* (the exact bit pattern of
-//!   its rotation angles), which is switched off automatically for
-//!   stochastic estimators so sampling semantics are never cached away.
+//! * [`CompiledModel::predict_from_angles`] scores one already-encoded
+//!   sample, bit-identically to a one-row `predict_many_from_angles`
+//!   without its batch bookkeeping: the entry point of a serving runtime;
+//! * repeated inputs are answered from an LRU cache keyed by the sample's
+//!   *encoding fingerprint* (the exact bit pattern of its rotation
+//!   angles), which is switched off automatically for stochastic
+//!   estimators so sampling semantics are never cached away. A miss costs
+//!   one keyed hash and allocates nothing in the cache: the cache is a
+//!   slab whose full-capacity evictions reuse the victim's buffers.
 //!
 //! ## Determinism
 //!

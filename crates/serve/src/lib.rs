@@ -14,7 +14,7 @@
 //!   requests are in flight, instead of buffering without bound.
 //! * **Run to completion** — every request is evaluated on the thread that
 //!   admits it (the caller, or a wire shard) through
-//!   [`quclassi_infer::CompiledModel::predict_many_from_angles`]. QuClassi
+//!   [`quclassi_infer::CompiledModel::predict_from_angles`]. QuClassi
 //!   scores each sample on its own, so there is nothing to batch; only
 //!   artifacts that simulate noisy circuits fan their classes out over a
 //!   shared [`quclassi_sim::batch::BatchExecutor`].

@@ -99,8 +99,15 @@ impl LatencyHistogram {
             63 - ns.leading_zeros() as usize
         };
         self.counts[bucket].fetch_add(1, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        // A read-modify-write only for a new extreme: the extremes only
+        // ever move outward, so a load that already shows `ns` inside
+        // them shows an extreme the RMW would have kept.
+        if ns < self.min_ns.load(Ordering::Relaxed) {
+            self.min_ns.fetch_min(ns, Ordering::Relaxed);
+        }
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
         self.total_ns.fetch_add(ns, mutation::histogram_total());
     }
 
@@ -850,7 +857,8 @@ runtime_metrics! {
     stage_queue_wait: histogram "quclassi_serve_stage_queue_wait_ns" => "stages.queue_wait",
     /// Batch-assembly stage: never recorded, since no request is batched.
     stage_assemble: histogram "quclassi_serve_stage_assemble_ns" => "stages.assemble",
-    /// Compute stage (the `predict_many_from_angles` call).
+    /// Compute stage: the `predict_from_angles` call, from the cache
+    /// lookup to the scored prediction.
     stage_compute: histogram "quclassi_serve_stage_compute_ns" => "stages.compute",
     /// Wire write stage (response enqueued → bytes drained to the socket);
     /// empty for in-process requests, which have no write stage.

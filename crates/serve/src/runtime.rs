@@ -14,15 +14,18 @@
 //!    next one is rejected with [`ServeError::Saturated`] — backpressure,
 //!    not unbounded buffering.
 //! 2. **Evaluation** — on the same thread (the in-process caller or a wire
-//!    shard), through [`CompiledModel::predict_many_from_angles`] with one
-//!    angle row. QuClassi scores a sample with one fidelity per class, so
-//!    a sample's cost does not depend on any other sample and a batch
-//!    would have nothing to share. An artifact that simulates noisy
-//!    circuits (about a millisecond per request) fans its classes out
-//!    over the runtime's [`BatchExecutor`]; every other artifact evaluates
-//!    on the calling thread alone, where a hand-off would cost more than
-//!    the evaluation. The request keeps the registry entry that admitted
-//!    it, even across a hot-swap.
+//!    shard), through [`CompiledModel::predict_from_angles`] on the angles
+//!    admission encoded, borrowed rather than copied. QuClassi scores a
+//!    sample with one fidelity per class, so a sample's cost does not
+//!    depend on any other sample and a batch would have nothing to share.
+//!    A deterministic artifact answers a repeated encoding from its
+//!    fingerprint cache; a miss costs one keyed hash and no allocation in
+//!    the cache. An artifact that simulates noisy circuits (about a
+//!    millisecond per request) fans its classes out over the runtime's
+//!    [`BatchExecutor`]; every other artifact evaluates on the calling
+//!    thread alone, where a hand-off would cost more than the evaluation.
+//!    The request keeps the registry entry that admitted it, even across a
+//!    hot-swap.
 //! 3. **Reply** — the request is accounted (latency, counters, trace span)
 //!    and answered before `submit` returns. If a shadow candidate mirrors
 //!    the model and draws this request, the candidate then evaluates the
@@ -42,9 +45,11 @@
 //!
 //! For stochastic estimators (shots, noise), request `i` — the `i`-th
 //! admission, counted from 0 under the gate lock — is answered with
-//! `predict_many_from_angles(vec![angles], executor, seed)` where
+//! `predict_from_angles(&angles, executor, seed)` where
 //! `seed = job_seed(job_seed(base_seed, i), 0)` (see
-//! [`BatchExecutor::job_seed`]). Outputs therefore depend on the arrival
+//! [`BatchExecutor::job_seed`]); that is bit-identical to
+//! `predict_many_from_angles(vec![angles], executor, seed)`, a one-row
+//! batch on the same seed streams. Outputs therefore depend on the arrival
 //! order alone: not on the executor's thread count, and not on what other
 //! requests were in flight.
 
@@ -444,7 +449,7 @@ impl Client {
         };
         let answer = self
             .shared
-            .serve(&entry, angles, &mut trace, running.index());
+            .serve(&entry, &angles, &mut trace, running.index());
         // Answered: shutdown may now return.
         drop(running);
         Ok((answer, trace))
@@ -644,41 +649,36 @@ impl Shared {
     /// histograms, trace span), then — if the installed shadow mirrors this
     /// model and draws this request — evaluates the candidate on the same
     /// angles. Each request counts as a flush of one.
+    ///
+    /// Two clock reads bracket the evaluation and time the compute stage,
+    /// the request's latency and, with the admission stamp, an in-process
+    /// request's span.
     fn serve(
         &self,
         entry: &ModelEntry,
-        angles: Vec<f64>,
+        angles: &[f64],
         trace: &mut TraceState,
         index: u64,
     ) -> Answer {
-        let admitted = Instant::now();
-        self.stats.record_flush(1, FlushReason::Deadline);
         let seed =
             BatchExecutor::job_seed(BatchExecutor::job_seed(self.config.base_seed, index), 0);
-        let mirror = self
-            .shadow
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .filter(|s| s.model() == entry.name() && s.should_mirror())
-            .map(Arc::clone);
-        let mirror_angles = mirror.as_ref().map(|_| angles.clone());
         let model = entry.model();
         let eval_started = Instant::now();
-        let outcome = model.predict_many_from_angles(vec![angles], self.executor_for(model), seed);
-        let live_elapsed = eval_started.elapsed();
+        let outcome = model.predict_from_angles(angles, self.executor_for(model), seed);
+        let eval_finished = Instant::now();
+        let live_elapsed = eval_finished.duration_since(eval_started);
         let compute_ns = live_elapsed.as_nanos() as u64;
+        self.stats.record_flush(1, FlushReason::Deadline);
         let answer = match outcome {
-            Ok(mut predictions) => {
-                let latency_ns = admitted.elapsed().as_nanos() as u64;
-                self.stats.latency.record_ns(latency_ns);
-                entry.stats().latency.record_ns(latency_ns);
+            Ok(prediction) => {
+                self.stats.latency.record_ns(compute_ns);
+                entry.stats().latency.record_ns(compute_ns);
                 self.stats.completed.inc();
                 entry.stats().completed.inc();
                 Ok(ServeResponse {
                     model: entry.name().to_string(),
                     version: entry.version(),
-                    prediction: predictions.pop().expect("one prediction per angle row"),
+                    prediction,
                 })
             }
             Err(e) => {
@@ -693,12 +693,20 @@ impl Shared {
         if !trace.wire_managed {
             // In-process requests have no write stage: the span is
             // complete, and in the ring before `submit` returns.
-            let total_ns = trace.received.elapsed().as_nanos() as u64;
+            let total_ns = eval_finished.duration_since(trace.received).as_nanos() as u64;
             self.trace.record(trace.span(0, total_ns));
         }
-        // A candidate is never judged on traffic the live model could not
-        // serve either.
-        if let (Some(state), Some(angles), Ok(response)) = (mirror, mirror_angles, &answer) {
+        // Every request for the shadowed model draws from the mirror's
+        // credit, but a candidate is never judged on traffic the live
+        // model could not serve either.
+        let mirror = self
+            .shadow
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+            .filter(|s| s.model() == entry.name() && s.should_mirror())
+            .map(Arc::clone);
+        if let (Some(state), Ok(response)) = (mirror, &answer) {
             self.shadow_evaluate(
                 &state,
                 angles,
@@ -715,7 +723,7 @@ impl Shared {
     fn shadow_evaluate(
         &self,
         state: &ShadowState,
-        angles: Vec<f64>,
+        angles: &[f64],
         live_label: usize,
         live_elapsed: Duration,
         live_seed: u64,
@@ -725,13 +733,9 @@ impl Shared {
         let shadow_seed = BatchExecutor::job_seed(live_seed, u64::MAX);
         let candidate = state.candidate();
         let started = Instant::now();
-        match candidate.predict_many_from_angles(
-            vec![angles],
-            self.executor_for(candidate),
-            shadow_seed,
-        ) {
-            Ok(predictions) => {
-                let agreed = predictions[0].label == live_label;
+        match candidate.predict_from_angles(angles, self.executor_for(candidate), shadow_seed) {
+            Ok(prediction) => {
+                let agreed = prediction.label == live_label;
                 state.record(agreed, live_elapsed, started.elapsed());
                 self.stats.shadow_batches.inc();
                 self.stats.shadow_requests.inc();
