@@ -2,7 +2,8 @@
 //!
 //! Each test runs one binary with `QUCLASSI_QUICK=1` in a fresh working
 //! directory and compares its stdout and the TSV it writes to
-//! `target/experiments/` with the files committed under `results/quick/`.
+//! `target/experiments/` with the files committed under `results/quick/`
+//! (stdout only for `fig7_sample_circuit`, which writes no TSV).
 //! Wall-clock columns are masked on both sides before comparing.
 //!
 //! A change that moves an output re-baselines the file: run the binary
@@ -54,7 +55,9 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/quick")
 }
 
-fn check_golden(name: &str, exe: &str, mask: Option<Mask>) {
+/// Runs `exe` in quick mode and returns its stdout and, when `with_tsv`,
+/// the TSV it wrote.
+fn run_quick(name: &str, exe: &str, with_tsv: bool) -> (String, Option<String>) {
     let workdir =
         std::env::temp_dir().join(format!("quclassi-golden-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&workdir);
@@ -70,13 +73,31 @@ fn check_golden(name: &str, exe: &str, mask: Option<Mask>) {
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8(output.stdout).unwrap();
-    let tsv_path = workdir
-        .join("target/experiments")
-        .join(format!("{name}.tsv"));
-    let tsv = std::fs::read_to_string(&tsv_path)
-        .unwrap_or_else(|e| panic!("{name} wrote no {}: {e}", tsv_path.display()));
+    let tsv = with_tsv.then(|| {
+        let tsv_path = workdir
+            .join("target/experiments")
+            .join(format!("{name}.tsv"));
+        std::fs::read_to_string(&tsv_path)
+            .unwrap_or_else(|e| panic!("{name} wrote no {}: {e}", tsv_path.display()))
+    });
     std::fs::remove_dir_all(&workdir).unwrap();
+    (stdout, tsv)
+}
 
+fn compare(name: &str, got: String, ext: &str) {
+    let path = golden_dir().join(format!("{name}.{ext}"));
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    assert!(
+        got == want,
+        "{name} {ext} differs from {}\n--- golden\n{want}\n--- got\n{got}",
+        path.display()
+    );
+}
+
+fn check_golden(name: &str, exe: &str, mask: Option<Mask>) {
+    let (stdout, tsv) = run_quick(name, exe, true);
+    let tsv = tsv.unwrap();
     let (stdout, tsv) = match &mask {
         Some(m) => (
             mask_table_column(&stdout, m.header),
@@ -84,16 +105,8 @@ fn check_golden(name: &str, exe: &str, mask: Option<Mask>) {
         ),
         None => (stdout, tsv),
     };
-    for (got, ext) in [(stdout, "stdout"), (tsv, "tsv")] {
-        let path = golden_dir().join(format!("{name}.{ext}"));
-        let want = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-        assert!(
-            got == want,
-            "{name} {ext} differs from {}\n--- golden\n{want}\n--- got\n{got}",
-            path.display()
-        );
-    }
+    compare(name, stdout, "stdout");
+    compare(name, tsv, "tsv");
 }
 
 #[test]
@@ -133,6 +146,94 @@ fn table_ionq_vs_ibmq_matches_its_golden() {
         env!("CARGO_BIN_EXE_table_ionq_vs_ibmq"),
         None,
     );
+}
+
+#[test]
+fn fig6a_iris_loss_matches_its_golden() {
+    check_golden(
+        "fig6a_iris_loss",
+        env!("CARGO_BIN_EXE_fig6a_iris_loss"),
+        None,
+    );
+}
+
+#[test]
+fn fig6b_iris_accuracy_matches_its_golden() {
+    check_golden(
+        "fig6b_iris_accuracy",
+        env!("CARGO_BIN_EXE_fig6b_iris_accuracy"),
+        None,
+    );
+}
+
+#[test]
+fn fig6c_iris_convergence_matches_its_golden() {
+    check_golden(
+        "fig6c_iris_convergence",
+        env!("CARGO_BIN_EXE_fig6c_iris_convergence"),
+        None,
+    );
+}
+
+#[test]
+fn fig8_bloch_evolution_matches_its_golden() {
+    check_golden(
+        "fig8_bloch_evolution",
+        env!("CARGO_BIN_EXE_fig8_bloch_evolution"),
+        None,
+    );
+}
+
+#[test]
+fn fig9_mnist_binary_matches_its_golden() {
+    check_golden(
+        "fig9_mnist_binary",
+        env!("CARGO_BIN_EXE_fig9_mnist_binary"),
+        None,
+    );
+}
+
+#[test]
+fn fig10_mnist_multiclass_matches_its_golden() {
+    check_golden(
+        "fig10_mnist_multiclass",
+        env!("CARGO_BIN_EXE_fig10_mnist_multiclass"),
+        None,
+    );
+}
+
+#[test]
+fn ablation_encoding_matches_its_golden() {
+    check_golden(
+        "ablation_encoding",
+        env!("CARGO_BIN_EXE_ablation_encoding"),
+        None,
+    );
+}
+
+#[test]
+fn ablation_shift_schedule_matches_its_golden() {
+    check_golden(
+        "ablation_shift_schedule",
+        env!("CARGO_BIN_EXE_ablation_shift_schedule"),
+        None,
+    );
+}
+
+#[test]
+fn table_param_reduction_matches_its_golden() {
+    check_golden(
+        "table_param_reduction",
+        env!("CARGO_BIN_EXE_table_param_reduction"),
+        None,
+    );
+}
+
+#[test]
+fn fig7_sample_circuit_matches_its_golden() {
+    let name = "fig7_sample_circuit";
+    let (stdout, _) = run_quick(name, env!("CARGO_BIN_EXE_fig7_sample_circuit"), false);
+    compare(name, stdout, "stdout");
 }
 
 #[test]
