@@ -5,7 +5,9 @@
 //! evaluation shapes — Iris (4 features / 3 classes, 5 qubits) and binary
 //! MNIST (16 features / 2 classes, 17 qubits) — under the default analytic
 //! estimator (what `predict` uses everywhere in this repo) and the exact
-//! SWAP-test estimator (the paper-faithful circuit path).
+//! SWAP-test estimator (the paper-faithful circuit path). These are QC-S
+//! models, scored as product states; one more cell serves an entangled
+//! QC-SDE Iris model analytically, scored through statevector fidelities.
 //!
 //! Besides the criterion timings, the binary records the measured speedups
 //! to `BENCH_inference_throughput.json` at the workspace root so the perf
@@ -32,9 +34,9 @@ struct Workload {
     total_qubits: usize,
 }
 
-fn workload(name: &'static str, dims: usize, classes: usize, samples: usize) -> Workload {
+fn workload(name: &'static str, config: QuClassiConfig, samples: usize) -> Workload {
+    let dims = config.data_dim;
     let mut rng = StdRng::seed_from_u64(dims as u64);
-    let config = QuClassiConfig::qc_s(dims, classes);
     let total_qubits = config.total_qubits();
     let model = QuClassiModel::with_random_parameters(config, &mut rng).unwrap();
     let xs: Vec<Vec<f64>> = (0..samples)
@@ -100,7 +102,7 @@ fn bench_serving_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference_throughput");
     group.sample_size(12);
     for (dims, classes) in [(4usize, 3usize), (16, 2)] {
-        let w = workload("shape", dims, classes, 8);
+        let w = workload("shape", QuClassiConfig::qc_s(dims, classes), 8);
         let analytic = FidelityEstimator::analytic();
         group.bench_with_input(BenchmarkId::new("uncompiled_predict", dims), &w, |b, w| {
             b.iter(|| black_box(serve_uncompiled(w, &analytic)))
@@ -199,7 +201,7 @@ fn emit_bench_json(smoke: bool) {
         ("iris_4_features", 4usize, 3usize),
         ("mnist_16_features", 16, 2),
     ] {
-        let w = workload(name, dims, classes, 8);
+        let w = workload(name, QuClassiConfig::qc_s(dims, classes), 8);
         entries.push(emit_entry(
             &w,
             "analytic",
@@ -215,6 +217,14 @@ fn emit_bench_json(smoke: bool) {
             &batch,
         ));
     }
+    let qc_sde = workload("iris_4_features_qc_sde", QuClassiConfig::qc_sde(4, 3), 8);
+    entries.push(emit_entry(
+        &qc_sde,
+        "analytic",
+        &FidelityEstimator::analytic(),
+        reps,
+        &batch,
+    ));
     bench_json::emit(
         "inference_throughput",
         smoke,
