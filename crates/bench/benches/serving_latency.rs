@@ -91,7 +91,6 @@ fn artifact(w: &Workload) -> CompiledModel {
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
-        batch_window: Duration::ZERO,
         queue_capacity: 4096,
         base_seed: 0,
         ..ServeConfig::default()
@@ -140,7 +139,6 @@ struct CellResult {
     throughput_rps: f64,
     p50_us: f64,
     p99_us: f64,
-    mean_batch_occupancy: f64,
 }
 
 /// One closed-loop measurement: `producers` threads, each issuing
@@ -198,7 +196,6 @@ fn run_cell_with(
         throughput_rps: total / elapsed.as_secs_f64(),
         p50_us: metrics.latency.p50_us(),
         p99_us: metrics.latency.p99_us(),
-        mean_batch_occupancy: metrics.mean_batch_occupancy(),
     }
 }
 
@@ -285,10 +282,9 @@ fn emit_cell_json(producers: usize, requests: usize, label: &str, r: &CellResult
     format!(
         concat!(
             "        {{\"mode\": \"{}\", \"producers\": {}, \"requests\": {}, ",
-            "\"throughput_rps\": {:.0}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, ",
-            "\"mean_batch_occupancy\": {:.2}}}"
+            "\"throughput_rps\": {:.0}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}"
         ),
-        label, producers, requests, r.throughput_rps, r.p50_us, r.p99_us, r.mean_batch_occupancy
+        label, producers, requests, r.throughput_rps, r.p50_us, r.p99_us
     )
 }
 
@@ -424,7 +420,6 @@ fn run_online_cell(
             throughput_rps: answered as f64 / elapsed.as_secs_f64(),
             p50_us: metrics.latency.p50_us(),
             p99_us: metrics.latency.p99_us(),
-            mean_batch_occupancy: metrics.mean_batch_occupancy(),
         },
         answered,
         metrics.train_cycles,

@@ -10,32 +10,20 @@ use quclassi::swap_test::{
 };
 use quclassi_sim::batch::BatchExecutor;
 use quclassi_sim::circuit::Circuit;
-use quclassi_sim::gemm::StateMatrix;
 use quclassi_sim::product::ProductState;
 use quclassi_sim::state::StateVector;
 use rand::Rng;
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Default capacity of the encoding-fingerprint LRU cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// The compiled per-class artifacts. `Product` and `Analytic` compute
-/// exact fidelities; a shot-limited estimator then draws its shots from
-/// them through [`FidelityEstimator::measure`].
+/// The compiled per-class artifacts.
 #[derive(Clone, Debug)]
 enum CompiledClasses {
-    /// Separable stack: every class state |ω_c⟩ as a [`ProductState`],
-    /// scored against the sample's product state through
-    /// [`ProductState::fidelity`] — the kernel the estimator itself uses,
-    /// so compiled and uncompiled answers are bit-identical.
-    Product { class_states: Vec<ProductState> },
-    /// Entangled stack: every class state |ω_c⟩ evaluated once at compile
-    /// time and packed into one contiguous [`StateMatrix`] — scoring a
-    /// sample is one in-place data-register preparation plus one GEMM row
-    /// sweep over the packed class plane (one fixed-tree inner product per
-    /// class, bit-identical to per-pair [`StateVector::fidelity`]).
-    Analytic { class_matrix: StateMatrix },
+    /// Class states scored with exact fidelities; a shot-limited estimator
+    /// then draws its shots from them through [`FidelityEstimator::measure`].
+    Exact(ClassStates),
     /// SWAP test through a noisy executor
     /// ([`FidelityEstimator::simulates_circuit`]): one circuit per class
     /// from [`build_class_swap_test_circuit`], with the trained angles
@@ -44,6 +32,18 @@ enum CompiledClasses {
         circuits: Vec<Circuit>,
         ancilla: usize,
     },
+}
+
+/// Every class state |ω_c⟩, prepared once at compile time.
+#[derive(Clone, Debug)]
+enum ClassStates {
+    /// Separable stack: scored against the sample's product state through
+    /// [`ProductState::fidelity`] — the kernel the estimator itself uses,
+    /// so compiled and uncompiled answers are bit-identical.
+    Product(Vec<ProductState>),
+    /// Entangled stack: scored against the sample's statevector through
+    /// [`StateVector::fidelity`], as the estimator does.
+    Analytic(Vec<StateVector>),
 }
 
 /// One serving result: the arg-max label plus the full softmax distribution
@@ -168,8 +168,9 @@ impl CompiledModel {
     /// * Otherwise, separable stack (no entanglement layer): each class
     ///   state is folded once into a [`ProductState`]; scoring a sample is
     ///   one product-state encode and `O(qubits)` work per class, inline.
-    /// * Otherwise: each class state is prepared once as a statevector and
-    ///   packed for a GEMM sweep.
+    /// * Otherwise: each class state is prepared once as a statevector;
+    ///   scoring a sample is one data-register preparation and one
+    ///   statevector fidelity per class.
     ///
     /// A noiseless SWAP test measures exactly the fidelity these kernels
     /// compute, so with shots each exact fidelity is drawn through
@@ -195,13 +196,12 @@ impl CompiledModel {
             let class_states = (0..model.num_classes())
                 .map(|c| class_product_state(&circuit, model.class_params(c)?))
                 .collect::<Result<Vec<_>, _>>()?;
-            CompiledClasses::Product { class_states }
+            CompiledClasses::Exact(ClassStates::Product(class_states))
         } else {
-            let states = (0..model.num_classes())
+            let class_states = (0..model.num_classes())
                 .map(|c| model.learned_state(c))
                 .collect::<Result<Vec<_>, _>>()?;
-            let class_matrix = StateMatrix::pack(&states)?;
-            CompiledClasses::Analytic { class_matrix }
+            CompiledClasses::Exact(ClassStates::Analytic(class_states))
         };
         let cache_enabled = !estimator.is_stochastic();
         Ok(CompiledModel {
@@ -269,24 +269,16 @@ impl CompiledModel {
         angles: &[f64],
         rng: &mut R,
     ) -> Result<Vec<f64>, QuClassiError> {
-        let exact = match &self.classes {
-            CompiledClasses::Product { class_states } => {
-                product_fidelities(&self.encoder, class_states, angles)?
-            }
-            CompiledClasses::Analytic { class_matrix } => {
-                analytic_fidelities(&self.encoder, class_matrix, angles)?
-            }
-            CompiledClasses::NoisySwapTest { circuits, ancilla } => {
-                return circuits
-                    .iter()
-                    .map(|circuit| self.swap_test_fidelity(circuit, angles, *ancilla, rng))
-                    .collect()
-            }
-        };
-        Ok(exact
-            .into_iter()
-            .map(|f| self.estimator.measure(f, rng))
-            .collect())
+        match &self.classes {
+            CompiledClasses::Exact(states) => Ok(exact_fidelities(&self.encoder, states, angles)?
+                .into_iter()
+                .map(|f| self.estimator.measure(f, rng))
+                .collect()),
+            CompiledClasses::NoisySwapTest { circuits, ancilla } => circuits
+                .iter()
+                .map(|circuit| self.swap_test_fidelity(circuit, angles, *ancilla, rng))
+                .collect(),
+        }
     }
 
     /// One noisy SWAP-test estimate through the estimator's executor.
@@ -394,11 +386,8 @@ impl CompiledModel {
     ) -> Result<Prediction, QuClassiError> {
         self.encoder.validate_angles(angles)?;
         let fidelities = self.cached_fidelities(angles, || match &self.classes {
-            CompiledClasses::Product { class_states } if !self.estimator.is_stochastic() => {
-                product_fidelities(&self.encoder, class_states, angles)
-            }
-            CompiledClasses::Analytic { class_matrix } if !self.estimator.is_stochastic() => {
-                analytic_fidelities(&self.encoder, class_matrix, angles)
+            CompiledClasses::Exact(states) if !self.estimator.is_stochastic() => {
+                exact_fidelities(&self.encoder, states, angles)
             }
             _ => Ok(self
                 .batched_fidelities(&[angles.to_vec()], batch, seed)?
@@ -409,12 +398,10 @@ impl CompiledModel {
 
     /// Scores a batch of samples, fanning the evaluations over `batch`.
     ///
-    /// * **Deterministic estimators** — results are bit-identical to
-    ///   sequential [`CompiledModel::predict_one`] calls, for any thread
-    ///   count. When caching is enabled, duplicate encodings inside the
-    ///   batch are evaluated once and answered from the cache afterwards;
-    ///   with caching disabled every sample is evaluated directly (the
-    ///   answers are identical either way).
+    /// * **Deterministic estimators** — the samples are scored one after
+    ///   the other on the calling thread, exactly as sequential
+    ///   [`CompiledModel::predict_one`] calls (cache hits and misses
+    ///   included), so `batch` goes unused.
     /// * **Stochastic estimators** — every sample × class evaluation draws
     ///   from its own RNG stream derived from `(base_seed, job index)`, so
     ///   results are bit-identical for any thread count and vary with
@@ -437,19 +424,11 @@ impl CompiledModel {
     /// angles were already computed (via
     /// [`quclassi::encoding::DataEncoder::encoding_angles`]).
     ///
-    /// This is the entry point of a serving runtime that validates and
-    /// encodes each request once at admission time and later drains queued
-    /// requests — now just angle vectors — into one batched fan-out: the
-    /// flush must not repeat (or re-fail) per-request work. Every angle
-    /// vector is still validated (count, finiteness) before anything is
-    /// evaluated, so a malformed entry rejects the call instead of
-    /// poisoning the batch.
-    ///
-    /// Semantics (dedup, caching, determinism) are exactly those of
-    /// [`CompiledModel::predict_many`]: for deterministic estimators the
-    /// result for each angle vector is bit-identical to a sequential
-    /// single-sample evaluation, for any thread count and any batch
-    /// composition.
+    /// Every angle vector is validated (count, finiteness) before anything
+    /// is evaluated, so a malformed entry rejects the call. A deterministic
+    /// artifact then runs [`CompiledModel::predict_from_angles`] row by
+    /// row; a stochastic one fans the rows over `batch` as
+    /// [`CompiledModel::predict_many`] describes.
     pub fn predict_many_from_angles(
         &self,
         angles: Vec<Vec<f64>>,
@@ -459,149 +438,55 @@ impl CompiledModel {
         for a in &angles {
             self.encoder.validate_angles(a)?;
         }
-        if self.estimator.is_stochastic() || !self.cache_enabled() {
-            // Straight evaluation, no fingerprinting. Stochastic: each
-            // duplicate keeps its own sample draw, matching sequential
-            // serving semantics. Deterministic-but-uncached: duplicates
-            // would be answered identically either way, and with no cache
-            // to fill, fingerprint hashing and dedup bookkeeping would tax
-            // every unique sample for nothing.
-            let fidelities = self.batched_fidelities(&angles, batch, base_seed)?;
-            return Ok(fidelities
-                .into_iter()
-                .map(prediction_from_fidelities)
-                .collect());
+        if !self.estimator.is_stochastic() {
+            return angles
+                .iter()
+                .map(|a| self.predict_from_angles(a, batch, base_seed))
+                .collect();
         }
-
-        // Cached deterministic path: resolve cache hits, dedup the misses
-        // by fingerprint (first appearance wins — a pure function of the
-        // input batch, so thread count cannot perturb it), evaluate once
-        // each.
-        let mut hashes = Vec::with_capacity(angles.len());
-        let mut resolved: Vec<Option<Vec<f64>>> = Vec::with_capacity(angles.len());
-        {
-            let mut cache = self.lock_cache();
-            for a in &angles {
-                let hash = cache.hash(a);
-                resolved.push(cache.get(hash, a).map(<[f64]>::to_vec));
-                hashes.push(hash);
-            }
-        }
-        // Misses by hash. Two distinct fingerprints with one hash are both
-        // evaluated: dedup only saves work, so it may miss a duplicate.
-        let mut miss_index: HashMap<u64, usize> = HashMap::new();
-        let mut miss_angles: Vec<Vec<f64>> = Vec::new();
-        let mut miss_hashes: Vec<u64> = Vec::new();
-        let mut sample_to_miss: Vec<Option<usize>> = vec![None; angles.len()];
-        for (i, &hash) in hashes.iter().enumerate() {
-            if resolved[i].is_some() {
-                continue;
-            }
-            let idx = match miss_index.get(&hash) {
-                Some(&idx) if same_bits(&miss_angles[idx], &angles[i]) => idx,
-                _ => {
-                    miss_index.entry(hash).or_insert(miss_angles.len());
-                    miss_angles.push(angles[i].clone());
-                    miss_hashes.push(hash);
-                    miss_angles.len() - 1
-                }
-            };
-            sample_to_miss[i] = Some(idx);
-        }
-
-        let miss_fidelities = self.batched_fidelities(&miss_angles, batch, base_seed)?;
-        {
-            let mut cache = self.lock_cache();
-            for ((hash, a), fidelities) in
-                miss_hashes.iter().zip(&miss_angles).zip(&miss_fidelities)
-            {
-                cache.insert(*hash, a, fidelities);
-            }
-        }
-
-        Ok(resolved
+        Ok(self
+            .batched_fidelities(&angles, batch, base_seed)?
             .into_iter()
-            .zip(sample_to_miss)
-            .map(|(hit, miss)| {
-                let fidelities = match hit {
-                    Some(f) => f,
-                    None => miss_fidelities[miss.expect("unresolved sample is a miss")].clone(),
-                };
-                prediction_from_fidelities(fidelities)
-            })
+            .map(prediction_from_fidelities)
             .collect())
     }
 
-    /// Evaluates per-class fidelities for many encoded samples: inline for
-    /// product states (a sample costs less than a hand-off to a worker),
-    /// otherwise through the batch executor (one job per sample for the
-    /// GEMM, one flat samples × classes job list for noisy SWAP tests and
-    /// for shot draws).
+    /// Per-class fidelity estimates of many encoded samples under a
+    /// stochastic estimator: evaluation `sample·classes + class` runs on
+    /// `batch` with its own stream of `base_seed` (a noisy SWAP-test circuit,
+    /// or the shot draw of an exact fidelity).
     fn batched_fidelities(
         &self,
         angles: &[Vec<f64>],
         batch: &BatchExecutor,
         base_seed: u64,
     ) -> Result<Vec<Vec<f64>>, QuClassiError> {
-        if angles.is_empty() {
-            return Ok(Vec::new());
-        }
-        let exact: Vec<Vec<f64>> = match &self.classes {
-            CompiledClasses::Product { class_states } => angles
-                .iter()
-                .map(|a| product_fidelities(&self.encoder, class_states, a))
-                .collect::<Result<_, _>>()?,
-            CompiledClasses::Analytic { class_matrix } => {
-                // The batched analytic score is the samples × classes
-                // fidelity GEMM: encoded-sample rows against the packed
-                // (implicitly conjugated, via the inner product) class
-                // plane. Sample rows are distributed over the batch
-                // executor's workers; each worker reuses one scratch
-                // register, so a steady-state flush performs no per-sample
-                // statevector or gate-list allocations. Every entry goes
-                // through the same fixed reduction tree as the
-                // single-sample path, so results stay bit-identical for
-                // any thread count and any batch composition.
-                let jobs: Vec<&[f64]> = angles.iter().map(Vec::as_slice).collect();
-                let width = class_matrix.num_qubits();
-                batch
-                    .run_seeded_with_scratch(
-                        base_seed,
-                        jobs,
-                        || StateVector::zero_state(width),
-                        |_, sample_angles, _, scratch| {
-                            self.encoder
-                                .encode_state_from_angles_into(sample_angles, scratch)?;
-                            let mut fidelities = vec![0.0; class_matrix.rows()];
-                            class_matrix.fidelities_into(scratch, &mut fidelities)?;
-                            Ok::<_, QuClassiError>(fidelities)
-                        },
-                    )
-                    .into_iter()
-                    .collect::<Result<_, _>>()?
+        let measured = match &self.classes {
+            CompiledClasses::Exact(states) => {
+                let exact = angles
+                    .iter()
+                    .map(|a| exact_fidelities(&self.encoder, states, a))
+                    .collect::<Result<Vec<_>, _>>()?
+                    .concat();
+                batch.run_seeded(base_seed, exact, |_, f, rng| self.estimator.measure(f, rng))
             }
             CompiledClasses::NoisySwapTest { circuits, ancilla } => {
                 let jobs: Vec<(&Circuit, &[f64])> = angles
                     .iter()
                     .flat_map(|a| circuits.iter().map(move |c| (c, a.as_slice())))
                     .collect();
-                let fidelities = batch
+                batch
                     .run_seeded(base_seed, jobs, |_, (circuit, a), rng| {
                         self.swap_test_fidelity(circuit, a, *ancilla, rng)
                     })
                     .into_iter()
-                    .collect::<Result<Vec<_>, _>>()?;
-                return Ok(per_sample(&fidelities, circuits.len()));
+                    .collect::<Result<Vec<_>, _>>()?
             }
         };
-        if !self.estimator.is_stochastic() {
-            return Ok(exact);
-        }
-        // Shots: job `sample·classes + class` draws from its own stream.
-        let flat: Vec<f64> = exact.into_iter().flatten().collect();
-        let measured =
-            batch.run_seeded(base_seed, flat, |_, f, rng| self.estimator.measure(f, rng));
-        Ok(per_sample(&measured, self.num_classes()))
+        Ok(measured
+            .chunks(self.num_classes())
+            .map(<[f64]>::to_vec)
+            .collect())
     }
 
     /// Classification accuracy of the compiled artifact over a labelled
@@ -635,43 +520,23 @@ impl CompiledModel {
     }
 }
 
-/// Fidelities of one encoded sample against every product class state,
-/// in the order and through the kernel of `FidelityEstimator::estimate`.
-fn product_fidelities(
+/// Exact fidelities of one encoded sample against every class state, in
+/// the order and through the kernels of `FidelityEstimator::estimate`.
+fn exact_fidelities(
     encoder: &DataEncoder,
-    class_states: &[ProductState],
+    states: &ClassStates,
     angles: &[f64],
 ) -> Result<Vec<f64>, QuClassiError> {
-    let data = encoder.encode_product_state_from_angles(angles)?;
-    class_states
-        .iter()
-        .map(|class| Ok(class.fidelity(&data)?))
-        .collect()
-}
-
-/// Fidelities of one encoded sample against every packed class state:
-/// the product-state fast preparation (bit-identical to the uncompiled
-/// `encode_state` path, see `DataEncoder::encode_state_from_angles`), swept
-/// against the class plane in one GEMM row pass.
-fn analytic_fidelities(
-    encoder: &DataEncoder,
-    class_matrix: &StateMatrix,
-    angles: &[f64],
-) -> Result<Vec<f64>, QuClassiError> {
-    let data = encoder.encode_state_from_angles(angles)?;
-    let mut fidelities = vec![0.0; class_matrix.rows()];
-    class_matrix.fidelities_into(&data, &mut fidelities)?;
-    Ok(fidelities)
-}
-
-/// Whether two angle vectors have the same fingerprint (exact bits).
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Splits a flat samples × classes list into one row per sample.
-fn per_sample(flat: &[f64], classes: usize) -> Vec<Vec<f64>> {
-    flat.chunks(classes).map(<[f64]>::to_vec).collect()
+    match states {
+        ClassStates::Product(classes) => {
+            let data = encoder.encode_product_state_from_angles(angles)?;
+            classes.iter().map(|c| Ok(c.fidelity(&data)?)).collect()
+        }
+        ClassStates::Analytic(classes) => {
+            let data = encoder.encode_state_from_angles(angles)?;
+            classes.iter().map(|c| Ok(c.fidelity(&data)?)).collect()
+        }
+    }
 }
 
 /// Arg-max with the exact tie-breaking of `QuClassiModel::predict`
@@ -789,16 +654,15 @@ mod tests {
             .predict_many(&xs, &BatchExecutor::single_threaded(0), 0)
             .unwrap();
         assert_eq!(preds[0], preds[3]);
-        // 3 unique encodings inserted; lookups all missed (cold cache).
+        // 3 unique encodings inserted; the duplicate (sample 3) is a hit.
         let stats = compiled.cache_stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.hits, 0);
+        assert_eq!((stats.entries, stats.misses, stats.hits), (3, 3, 1));
         // A second pass over the same batch is answered from the cache.
         let again = compiled
             .predict_many(&xs, &BatchExecutor::single_threaded(0), 0)
             .unwrap();
         assert_eq!(again, preds);
-        assert_eq!(compiled.cache_stats().hits, 4);
+        assert_eq!(compiled.cache_stats().hits, 5);
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub use eventloop::WireServer;
 #[cfg(any(test, feature = "fault-injection"))]
 pub use faults::{Fault, FaultPlan};
 pub use metrics::{
-    Counter, FloatGauge, FlushReason, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry,
+    Counter, FloatGauge, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry,
     MetricsSnapshot, ModelMetrics, ModelStatsSnapshot,
 };
 pub use online::{CycleOutcome, CycleReport, OnlineConfig, OnlineLearner, OnlineReport};

@@ -4,7 +4,7 @@
 //!
 //! Everything on the hot path is a relaxed atomic — recording a latency or
 //! bumping a counter never takes a lock, so metrics cannot perturb the
-//! batching behaviour they measure. Quantiles come from a fixed
+//! serving path they measure. Quantiles come from a fixed
 //! power-of-two-bucketed histogram: each observation lands in bucket
 //! `floor(log2(ns))` (zero allocation, O(64) snapshot cost), and read-outs
 //! interpolate linearly *within* the landing bucket by the requested
@@ -42,13 +42,16 @@
 //! [`MODEL_COLUMNS`] and [`CACHE_COLUMNS`], which render both the JSON
 //! `models[]` objects and the `{model="…"}` text series; they stay per
 //! registry entry, so a hot-swap starts the new version from zero and
-//! the registry does not grow with promotions.
+//! the registry does not grow with promotions. The simulator's
+//! kernel-profiling series are the rows of [`SIM_COLUMNS`], read from the
+//! process-wide profile at scrape time.
 
 use crate::json::Json;
 use crate::mutation;
 use crate::quclassi_sync::atomic::{AtomicU64, Ordering};
 use crate::quclassi_sync::{Arc, Mutex};
 use quclassi_infer::CacheStats;
+use quclassi_sim::profile::{self, SimProfile};
 use std::time::Duration;
 
 /// Number of histogram buckets: one per possible `floor(log2)` of a `u64`
@@ -309,8 +312,8 @@ impl Counter {
     }
 }
 
-/// A gauge handle: a value that can go up and down (queue depth, open
-/// connections, in-flight requests).
+/// A gauge handle: a value that can go up and down (open connections,
+/// in-flight requests).
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
@@ -615,29 +618,17 @@ impl ModelStats {
 /// A point-in-time copy of one model's serving counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ModelStatsSnapshot {
-    /// Requests admitted to the queue for this model.
+    /// Requests admitted by the admission gate for this model.
     pub admitted: u64,
     /// Requests answered successfully.
     pub completed: u64,
-    /// Requests that failed during batch evaluation.
+    /// Requests that failed during evaluation.
     pub failed: u64,
-    /// Requests rejected at admission (invalid input or queue saturated).
+    /// Requests rejected at admission (invalid input or saturation).
     pub rejected: u64,
-    /// End-to-end (admission → reply) latency histogram.
+    /// Latency of each answered request, from admission to the end of its
+    /// evaluation.
     pub latency: HistogramSnapshot,
-}
-
-/// Why a flush happened. Every request runs to completion as a flush of
-/// one, counted as [`FlushReason::Deadline`]; the other reasons are kept
-/// so their counters keep their series and read 0.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlushReason {
-    /// The batch reached the configured size target.
-    Size,
-    /// The batching window expired (or was zero) before the target filled.
-    Deadline,
-    /// The runtime is draining at shutdown.
-    Close,
 }
 
 /// One series' value read from a snapshot.
@@ -752,14 +743,18 @@ macro_rules! runtime_metrics {
                 draining_models: usize,
                 models: Vec<ModelMetrics>,
             ) -> MetricsSnapshot {
-                MetricsSnapshot {
+                let mut snapshot = MetricsSnapshot {
                     uptime,
                     queue_capacity,
-                    peak_queue_depth: 0,
                     draining_models,
+                    batches: 0,
+                    batched_requests: 0,
                     $($field: series!(read $kind, self.$field),)+
                     models,
-                }
+                };
+                snapshot.batches = snapshot.completed + snapshot.failed;
+                snapshot.batched_requests = snapshot.batches;
+                snapshot
             }
         }
 
@@ -772,12 +767,15 @@ macro_rules! runtime_metrics {
             /// Configured cap on requests admitted and not yet answered
             /// (`ServeConfig::queue_capacity`).
             pub queue_capacity: usize,
-            /// High-water mark of the queue depth: always 0, since no
-            /// request is queued.
-            pub peak_queue_depth: usize,
             /// Retired (hot-swapped-out) versions still serving in-flight
             /// requests.
             pub draining_models: usize,
+            /// `completed + failed`: every evaluated request. Kept only
+            /// because the benchmark in `perfbench/` reads it; not a series.
+            pub batches: u64,
+            /// Equal to [`MetricsSnapshot::batches`]. Kept only because the
+            /// benchmark in `perfbench/` reads it; not a series.
+            pub batched_requests: u64,
             $($(#[doc = $doc])+ pub $field: series!(value $kind),)+
             /// Per-model metrics, sorted by name.
             pub models: Vec<ModelMetrics>,
@@ -802,16 +800,6 @@ runtime_metrics! {
     completed: counter "quclassi_serve_completed_total" => "completed",
     /// Requests that failed during evaluation.
     failed: counter "quclassi_serve_failed_total" => "failed",
-    /// Flushes: one per evaluated request (no request is batched).
-    batches: counter "quclassi_serve_batches_total" => "batches",
-    /// Total requests across all flushes (equal to `batches`).
-    batched_requests: counter "quclassi_serve_batched_requests_total" => "batched_requests",
-    /// Flushes that reached a size target: always 0.
-    flush_on_size: counter "quclassi_serve_flush_size_total" => "flush_on_size",
-    /// Flushes of one: every evaluated request.
-    flush_on_deadline: counter "quclassi_serve_flush_deadline_total" => "flush_on_deadline",
-    /// Flushes while draining at shutdown: always 0.
-    flush_on_close: counter "quclassi_serve_flush_close_total" => "flush_on_close",
     /// Connections refused at the wire boundary (over the connection cap)
     /// with a retryable `saturated` error frame.
     wire_refusals: counter "quclassi_wire_refusals_total" => "wire_refusals",
@@ -837,8 +825,6 @@ runtime_metrics! {
     /// Requests duplicated onto a shadow candidate (user responses always
     /// come from the live model only).
     shadow_requests: counter "quclassi_online_shadow_requests_total" => "shadow_requests",
-    /// Requests currently queued: always 0, since no request is queued.
-    queue_depth: gauge "quclassi_serve_queue_depth" => "queue_depth",
     /// Requests admitted but not yet answered (mid-evaluation).
     in_flight: gauge "quclassi_serve_in_flight" => "in_flight",
     /// Open wire connections across all frontends and shards.
@@ -849,14 +835,11 @@ runtime_metrics! {
     online_candidate_accuracy: float_gauge "quclassi_online_candidate_accuracy" => "online_candidate_accuracy",
     /// Index of the most recently completed online-learner cycle.
     online_last_cycle: gauge "quclassi_online_last_cycle" => "online_last_cycle",
-    /// End-to-end (admission → reply) latency across all models.
+    /// Latency of each answered request across all models, from admission
+    /// (the request received) to the end of its evaluation.
     latency: histogram "quclassi_serve_latency_ns" => "latency",
     /// Admission-side encoding (feature → rotation angles) stage.
     stage_encode: histogram "quclassi_serve_stage_encode_ns" => "stages.encode",
-    /// Queue-wait stage: never recorded, since no request is queued.
-    stage_queue_wait: histogram "quclassi_serve_stage_queue_wait_ns" => "stages.queue_wait",
-    /// Batch-assembly stage: never recorded, since no request is batched.
-    stage_assemble: histogram "quclassi_serve_stage_assemble_ns" => "stages.assemble",
     /// Compute stage: the `predict_from_angles` call, from the cache
     /// lookup to the scored prediction.
     stage_compute: histogram "quclassi_serve_stage_compute_ns" => "stages.compute",
@@ -883,6 +866,17 @@ pub const CACHE_COLUMNS: &[Column<CacheStats>] = &[
     column!(counter "quclassi_cache_evictions_total" => "cache_evictions", |c| c.evictions),
     column!(gauge "quclassi_cache_entries" => "cache_entries", |c| c.entries as u64),
     column!(gauge "quclassi_cache_capacity" => "cache_capacity", |c| c.capacity as u64),
+];
+
+/// The simulator's kernel-profiling series: whether profiling is on, then
+/// the process-wide sweep counters of [`quclassi_sim::profile`]. Text
+/// exposition only: the JSON `metrics` op carries no simulator keys.
+pub const SIM_COLUMNS: &[Column<(bool, SimProfile)>] = &[
+    column!(gauge "quclassi_sim_profile_enabled" => "profile_enabled", |p| u64::from(p.0)),
+    column!(counter "quclassi_sim_dense_sweeps_total" => "dense_sweeps", |p| p.1.dense_sweeps),
+    column!(counter "quclassi_sim_diagonal_sweeps_total" => "diagonal_sweeps", |p| p.1.diagonal_sweeps),
+    column!(counter "quclassi_sim_permutation_sweeps_total" => "permutation_sweeps", |p| p.1.permutation_sweeps),
+    column!(counter "quclassi_sim_amplitudes_touched_total" => "amplitudes_touched", |p| p.1.amplitudes_touched),
 ];
 
 /// Appends each column of `item` to a JSON object's fields, nesting a
@@ -967,6 +961,13 @@ pub(crate) fn expose_models(out: &mut String, models: &[ModelMetrics]) {
     expose_columns(out, CACHE_COLUMNS, &by_cache);
 }
 
+/// Appends the simulator section of the text exposition: one
+/// [`SIM_COLUMNS`] series each, read from one profile snapshot.
+pub(crate) fn expose_sim(out: &mut String) {
+    let sim = (profile::enabled(), profile::snapshot());
+    expose_columns(out, SIM_COLUMNS, &[(String::new(), &sim)]);
+}
+
 impl MetricsSnapshot {
     /// Completed requests per second of uptime.
     pub fn throughput_rps(&self) -> f64 {
@@ -978,16 +979,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Mean number of requests per flush (0.0 before the first flush):
-    /// 1.0, since every request is a flush of one.
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
-        }
-    }
-
     /// The JSON `metrics` op's object: every [`RUNTIME_COLUMNS`] series by
     /// its key, the figures derived from them, and one `models[]` object
     /// per model.
@@ -996,9 +987,7 @@ impl MetricsSnapshot {
         let mut fields: Vec<(String, Json)> = [
             ("uptime_us", self.uptime.as_micros() as f64),
             ("queue_capacity", self.queue_capacity as f64),
-            ("peak_queue_depth", self.peak_queue_depth as f64),
             ("draining_models", self.draining_models as f64),
-            ("mean_batch_occupancy", self.mean_batch_occupancy()),
             ("throughput_rps", self.throughput_rps()),
             ("p50_us", latency.p50_us()),
             ("p90_us", latency.p90_us()),
@@ -1013,19 +1002,6 @@ impl MetricsSnapshot {
         let models = self.models.iter().map(ModelMetrics::to_json).collect();
         fields.push(("models".to_string(), Json::Arr(models)));
         Json::Obj(fields)
-    }
-}
-
-impl RuntimeStats {
-    pub(crate) fn record_flush(&self, occupancy: usize, reason: FlushReason) {
-        self.batches.inc();
-        self.batched_requests.add(occupancy as u64);
-        let counter = match reason {
-            FlushReason::Size => &self.flush_on_size,
-            FlushReason::Deadline => &self.flush_on_deadline,
-            FlushReason::Close => &self.flush_on_close,
-        };
-        counter.inc();
     }
 }
 
@@ -1242,20 +1218,6 @@ mod tests {
         }
         // Quiescent: count is exactly the number of finished observations.
         assert_eq!(h.snapshot().count(), finished.load(Ordering::Acquire));
-    }
-
-    #[test]
-    fn flush_reasons_are_counted_separately() {
-        let stats = RuntimeStats::default();
-        stats.record_flush(4, FlushReason::Size);
-        stats.record_flush(1, FlushReason::Deadline);
-        stats.record_flush(2, FlushReason::Close);
-        stats.record_flush(8, FlushReason::Size);
-        assert_eq!(stats.batches.get(), 4);
-        assert_eq!(stats.batched_requests.get(), 15);
-        assert_eq!(stats.flush_on_size.get(), 2);
-        assert_eq!(stats.flush_on_deadline.get(), 1);
-        assert_eq!(stats.flush_on_close.get(), 1);
     }
 
     #[test]

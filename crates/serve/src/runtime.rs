@@ -54,9 +54,7 @@
 //! requests were in flight.
 
 use crate::error::ServeError;
-use crate::metrics::{
-    self, FlushReason, MetricsRegistry, MetricsSnapshot, ModelMetrics, RuntimeStats,
-};
+use crate::metrics::{self, MetricsRegistry, MetricsSnapshot, ModelMetrics, RuntimeStats};
 use crate::quclassi_sync::atomic::{AtomicU64, Ordering};
 use crate::quclassi_sync::{Arc, RwLock};
 use crate::queue::AdmissionGate;
@@ -70,9 +68,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs of the serving runtime.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Ignored. Every request runs to completion on its admitting thread,
-    /// so there is no batching window to wait out; the field remains so
-    /// that existing configurations keep compiling.
+    /// Ignored: every request runs to completion on its admitting thread,
+    /// so there is no batching window. Kept only because the benchmark in
+    /// `perfbench/` sets it.
     pub batch_window: Duration,
     /// Most requests admitted and not yet answered; admissions beyond it
     /// are rejected with [`ServeError::Saturated`].
@@ -602,32 +600,7 @@ impl Shared {
     pub(crate) fn exposition(&self) -> String {
         let mut out = self.metrics.expose();
         metrics::expose_models(&mut out, &self.model_metrics());
-        let p = quclassi_sim::profile::snapshot();
-        let enabled = u64::from(quclassi_sim::profile::enabled());
-        for (kind, name, value) in [
-            ("gauge", "quclassi_sim_profile_enabled", enabled),
-            // Always 0 (no kernel fuses gates); kept so scrapes keep the series.
-            ("counter", "quclassi_sim_fused_groups_total", p.fused_groups),
-            ("counter", "quclassi_sim_dense_sweeps_total", p.dense_sweeps),
-            (
-                "counter",
-                "quclassi_sim_diagonal_sweeps_total",
-                p.diagonal_sweeps,
-            ),
-            (
-                "counter",
-                "quclassi_sim_permutation_sweeps_total",
-                p.permutation_sweeps,
-            ),
-            (
-                "counter",
-                "quclassi_sim_amplitudes_touched_total",
-                p.amplitudes_touched,
-            ),
-        ] {
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            metrics::append_sample(&mut out, name, &value.to_string());
-        }
+        metrics::expose_sim(&mut out);
         out
     }
 
@@ -648,11 +621,11 @@ impl Shared {
     /// the entry that admitted it, accounts it (counters, latency, stage
     /// histograms, trace span), then — if the installed shadow mirrors this
     /// model and draws this request — evaluates the candidate on the same
-    /// angles. Each request counts as a flush of one.
+    /// angles.
     ///
-    /// Two clock reads bracket the evaluation and time the compute stage,
-    /// the request's latency and, with the admission stamp, an in-process
-    /// request's span.
+    /// Two clock reads bracket the evaluation and time the compute stage;
+    /// with the admission stamp, the second also times the request's
+    /// latency and an in-process request's span.
     fn serve(
         &self,
         entry: &ModelEntry,
@@ -668,11 +641,11 @@ impl Shared {
         let eval_finished = Instant::now();
         let live_elapsed = eval_finished.duration_since(eval_started);
         let compute_ns = live_elapsed.as_nanos() as u64;
-        self.stats.record_flush(1, FlushReason::Deadline);
+        let total_ns = eval_finished.duration_since(trace.received).as_nanos() as u64;
         let answer = match outcome {
             Ok(prediction) => {
-                self.stats.latency.record_ns(compute_ns);
-                entry.stats().latency.record_ns(compute_ns);
+                self.stats.latency.record_ns(total_ns);
+                entry.stats().latency.record_ns(total_ns);
                 self.stats.completed.inc();
                 entry.stats().completed.inc();
                 Ok(ServeResponse {
@@ -693,7 +666,6 @@ impl Shared {
         if !trace.wire_managed {
             // In-process requests have no write stage: the span is
             // complete, and in the ring before `submit` returns.
-            let total_ns = eval_finished.duration_since(trace.received).as_nanos() as u64;
             self.trace.record(trace.span(0, total_ns));
         }
         // Every request for the shadowed model draws from the mirror's
@@ -784,21 +756,15 @@ mod tests {
             .iter()
             .map(|x| artifact.predict_one(x, &mut rng).unwrap())
             .collect();
-        // The ignored batch window changes nothing.
-        for window_us in [0u64, 5000] {
-            let rt = runtime(ServeConfig {
-                batch_window: Duration::from_micros(window_us),
-                ..Default::default()
-            });
-            rt.deploy("m", compiled(3)).unwrap();
-            let client = rt.client();
-            for (x, want) in xs.iter().zip(direct.iter()) {
-                let got = client.predict("m", x).unwrap();
-                assert_eq!(&got.prediction, want, "window {window_us}µs");
-                assert_eq!(got.version, 1);
-            }
-            rt.shutdown();
+        let rt = runtime(ServeConfig::default());
+        rt.deploy("m", compiled(3)).unwrap();
+        let client = rt.client();
+        for (x, want) in xs.iter().zip(direct.iter()) {
+            let got = client.predict("m", x).unwrap();
+            assert_eq!(&got.prediction, want);
+            assert_eq!(got.version, 1);
         }
+        rt.shutdown();
     }
 
     #[test]
@@ -903,10 +869,6 @@ mod tests {
         }
         let m = rt.shutdown();
         assert_eq!(m.completed, 8);
-        // Every request is a flush of one.
-        assert_eq!((m.batches, m.batched_requests), (8, 8));
-        assert_eq!(m.flush_on_deadline, 8);
-        assert_eq!(m.mean_batch_occupancy(), 1.0);
         assert_eq!(m.latency.count(), 8);
         assert!(m.latency.quantile_ns(0.5) > 0);
         assert!(m.throughput_rps() > 0.0);
@@ -930,7 +892,7 @@ mod tests {
         assert_eq!(client.traces_recorded(), 1);
         client.finish_wire_write(&trace, 5);
         let span = client.traces(1)[0];
-        assert_eq!((span.trace_id, span.write_ns, span.batch_size), (7, 5, 1));
+        assert_eq!((span.trace_id, span.write_ns), (7, 5));
         // An admission error has no trace to finish.
         let (answer, trace) = client.submit_wire("ghost", &[0.3; 4], Some(8));
         assert!(answer.is_err() && trace.is_none());

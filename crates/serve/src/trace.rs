@@ -6,8 +6,7 @@
 //! pipeline: **encode** (admission-side validation + angle encoding) →
 //! **compute** (the evaluation, on the admitting thread) → **write**
 //! (response bytes drained to the socket; zero for in-process requests).
-//! The **queue wait** and **assemble** stages are kept in the span and
-//! always read 0: no request is queued or batched. When the lifecycle
+//! When the lifecycle
 //! completes, one [`TraceSpan`] is recorded into the runtime's
 //! [`TraceRing`] and becomes retrievable — newest last — through
 //! `Client::traces` and the wire `{"op":"trace","last":N}` op.
@@ -37,9 +36,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 /// One completed request's stage timeline, all durations in nanoseconds.
 ///
 /// The stages partition the request's lifetime:
-/// `encode + queue_wait + assemble + compute + write ≈ total` (the
-/// remainder is bookkeeping between stage boundaries — microseconds, not
-/// milliseconds).
+/// `encode + compute + write ≈ total` (the remainder is bookkeeping
+/// between stage boundaries — microseconds, not milliseconds).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceSpan {
     /// The request's trace id: a numeric wire `"id"` verbatim, a hash of a
@@ -48,10 +46,11 @@ pub struct TraceSpan {
     pub trace_id: u64,
     /// Admission-side validation + rotation-angle encoding.
     pub encode_ns: u64,
-    /// Time spent queued before evaluation: always 0, since every request
-    /// runs to completion on its admitting thread.
+    /// Always 0: no request is queued. Not stored in the ring; kept only
+    /// because the benchmark in `perfbench/` reads it.
     pub queue_wait_ns: u64,
-    /// Batch assembly: always 0, since no request is batched.
+    /// Always 0: no request is batched. Not stored in the ring; kept only
+    /// because the benchmark in `perfbench/` reads it.
     pub assemble_ns: u64,
     /// The request's evaluation.
     pub compute_ns: u64,
@@ -60,29 +59,26 @@ pub struct TraceSpan {
     pub write_ns: u64,
     /// End-to-end: request received → response delivered.
     pub total_ns: u64,
-    /// Number of requests evaluated together: always 1.
-    pub batch_size: u64,
 }
 
-const SPAN_FIELDS: usize = 8;
+/// The fields a ring slot stores: the trace id, the three stages and the
+/// total.
+const SPAN_FIELDS: usize = 5;
 
 impl TraceSpan {
-    /// Sum of the five stage durations — the traced fraction of
+    /// Sum of the stage durations — the traced fraction of
     /// [`TraceSpan::total_ns`].
     pub fn stage_sum_ns(&self) -> u64 {
-        self.encode_ns + self.queue_wait_ns + self.assemble_ns + self.compute_ns + self.write_ns
+        self.encode_ns + self.compute_ns + self.write_ns
     }
 
     fn to_fields(self) -> [u64; SPAN_FIELDS] {
         [
             self.trace_id,
             self.encode_ns,
-            self.queue_wait_ns,
-            self.assemble_ns,
             self.compute_ns,
             self.write_ns,
             self.total_ns,
-            self.batch_size,
         ]
     }
 
@@ -90,12 +86,10 @@ impl TraceSpan {
         TraceSpan {
             trace_id: f[0],
             encode_ns: f[1],
-            queue_wait_ns: f[2],
-            assemble_ns: f[3],
-            compute_ns: f[4],
-            write_ns: f[5],
-            total_ns: f[6],
-            batch_size: f[7],
+            compute_ns: f[2],
+            write_ns: f[3],
+            total_ns: f[4],
+            ..TraceSpan::default()
         }
     }
 }
@@ -293,12 +287,10 @@ impl TraceState {
         TraceSpan {
             trace_id: self.trace_id,
             encode_ns: self.encode_ns,
-            queue_wait_ns: 0,
-            assemble_ns: 0,
             compute_ns: self.compute_ns,
             write_ns,
             total_ns,
-            batch_size: 1,
+            ..TraceSpan::default()
         }
     }
 }
@@ -326,12 +318,10 @@ mod tests {
         TraceSpan {
             trace_id: id,
             encode_ns: id.wrapping_mul(3),
-            queue_wait_ns: id.wrapping_mul(5),
-            assemble_ns: id.wrapping_mul(7),
             compute_ns: id.wrapping_mul(11),
             write_ns: id.wrapping_mul(13),
             total_ns: id.wrapping_mul(17),
-            batch_size: id.wrapping_mul(19),
+            ..TraceSpan::default()
         }
     }
 
@@ -345,16 +335,14 @@ mod tests {
                 s.compute_ns,
                 s.write_ns,
                 s.total_ns,
-                s.batch_size,
             ),
             (
                 id.wrapping_mul(3),
-                id.wrapping_mul(5),
-                id.wrapping_mul(7),
+                0,
+                0,
                 id.wrapping_mul(11),
                 id.wrapping_mul(13),
                 id.wrapping_mul(17),
-                id.wrapping_mul(19),
             ),
             "torn span for id {id}"
         );
@@ -501,14 +489,12 @@ mod tests {
         let s = TraceSpan {
             trace_id: 1,
             encode_ns: 10,
-            queue_wait_ns: 20,
-            assemble_ns: 30,
             compute_ns: 40,
             write_ns: 50,
-            total_ns: 160,
-            batch_size: 4,
+            total_ns: 110,
+            ..TraceSpan::default()
         };
-        assert_eq!(s.stage_sum_ns(), 150);
+        assert_eq!(s.stage_sum_ns(), 100);
     }
 
     #[test]

@@ -455,12 +455,9 @@ fn span_to_json(s: &crate::trace::TraceSpan) -> Json {
     Json::obj(vec![
         ("trace_id", Json::Num(s.trace_id as f64)),
         ("encode_ns", Json::Num(s.encode_ns as f64)),
-        ("queue_wait_ns", Json::Num(s.queue_wait_ns as f64)),
-        ("assemble_ns", Json::Num(s.assemble_ns as f64)),
         ("compute_ns", Json::Num(s.compute_ns as f64)),
         ("write_ns", Json::Num(s.write_ns as f64)),
         ("total_ns", Json::Num(s.total_ns as f64)),
-        ("batch_size", Json::Num(s.batch_size as f64)),
     ])
 }
 

@@ -24,12 +24,10 @@ fn span(id: u64) -> TraceSpan {
     TraceSpan {
         trace_id: id,
         encode_ns: id * 3,
-        queue_wait_ns: id * 5,
-        assemble_ns: id * 7,
         compute_ns: id * 11,
         write_ns: id * 13,
         total_ns: id * 17,
-        batch_size: id * 19,
+        ..TraceSpan::default()
     }
 }
 

@@ -7,7 +7,7 @@ mod common;
 
 use common::{compiled, started_runtime};
 use quclassi_serve::json::Json;
-use quclassi_serve::metrics::{Column, CACHE_COLUMNS, MODEL_COLUMNS, RUNTIME_COLUMNS};
+use quclassi_serve::metrics::{Column, CACHE_COLUMNS, MODEL_COLUMNS, RUNTIME_COLUMNS, SIM_COLUMNS};
 use quclassi_serve::{ServeConfig, ServeRuntime, TraceSpan, WireClient, WireServer};
 use quclassi_sim::batch::BatchExecutor;
 use std::collections::HashMap;
@@ -23,21 +23,19 @@ fn span_from_json(span: &Json) -> (u64, TraceSpan) {
     let span = TraceSpan {
         trace_id,
         encode_ns: field("encode_ns"),
-        queue_wait_ns: field("queue_wait_ns"),
-        assemble_ns: field("assemble_ns"),
         compute_ns: field("compute_ns"),
         write_ns: field("write_ns"),
         total_ns: field("total_ns"),
-        batch_size: field("batch_size"),
+        ..TraceSpan::default()
     };
     (trace_id, span)
 }
 
 /// The stage partition must tile the end-to-end latency: every stage fits
-/// inside the total, and the unattributed remainder (notifier hand-off,
-/// admission stamping) is bounded — the timeline genuinely reconstructs
-/// where the request's time went.
-fn assert_timeline_reconstructs(span: &TraceSpan, requests: usize) {
+/// inside the total, and the unattributed remainder (admission stamping,
+/// response serialisation) is bounded — the timeline genuinely
+/// reconstructs where the request's time went.
+fn assert_timeline_reconstructs(span: &TraceSpan) {
     assert!(span.total_ns > 0, "a served request took nonzero time");
     assert!(
         span.stage_sum_ns() <= span.total_ns,
@@ -52,10 +50,6 @@ fn assert_timeline_reconstructs(span: &TraceSpan, requests: usize) {
     assert!(
         span.write_ns > 0,
         "wire-managed spans stamp the write stage: {span:?}"
-    );
-    assert!(
-        span.batch_size >= 1 && span.batch_size <= requests as u64,
-        "batch size is the request's actual group size: {span:?}"
     );
 }
 
@@ -92,7 +86,7 @@ fn pipeline_and_trace(wire: &mut WireClient, requests: usize) {
         let span = spans
             .get(id)
             .unwrap_or_else(|| panic!("request {id} left a span in the ring"));
-        assert_timeline_reconstructs(span, requests);
+        assert_timeline_reconstructs(span);
     }
 }
 
@@ -122,7 +116,6 @@ fn in_process_requests_leave_spans_without_a_write_stage() {
         assert_eq!(span.write_ns, 0, "no wire write for in-process requests");
         assert!(span.total_ns > 0);
         assert!(span.stage_sum_ns() <= span.total_ns);
-        assert!(span.batch_size >= 1);
     }
     runtime.shutdown();
 }
@@ -271,8 +264,17 @@ fn text_exposition_round_trips_against_the_json_metrics_op() {
     let model = model_views_agree(&json, &samples, "iris");
     assert_eq!(model.get("completed").and_then(Json::as_f64), Some(12.0));
 
-    // Whether kernel profiling is live is itself exposed.
+    // The simulator section is its table, and whether kernel profiling is
+    // live is itself exposed.
+    for column in SIM_COLUMNS {
+        assert!(samples.contains_key(column.name), "{}", column.name);
+    }
     assert!(samples.contains_key("quclassi_sim_profile_enabled"));
+    let sim_series = samples
+        .keys()
+        .filter(|name| name.starts_with("quclassi_sim_"))
+        .count();
+    assert_eq!(sim_series, SIM_COLUMNS.len());
 
     server.shutdown();
     runtime.shutdown();

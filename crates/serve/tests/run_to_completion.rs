@@ -4,7 +4,7 @@
 //! shadow mirrors it. These tests pin what that path keeps: bit-identical
 //! answers for deterministic kinds, seed streams that follow the admission
 //! order for stochastic ones, version pinning across hot-swap, complete
-//! trace spans, flush accounting, shadow mirroring and lossless shutdown.
+//! trace spans, latency accounting, shadow mirroring and lossless shutdown.
 
 mod common;
 
@@ -44,8 +44,8 @@ fn artifact(config: QuClassiConfig, estimator: FidelityEstimator, seed: u64) -> 
     CompiledModel::compile(&model, estimator).unwrap()
 }
 
-/// An entangled (QC-SDE) analytic artifact: scored by the GEMM path, not
-/// as product states.
+/// An entangled (QC-SDE) analytic artifact: scored through statevector
+/// fidelities, not as product states.
 fn entangled(seed: u64) -> CompiledModel {
     artifact(
         QuClassiConfig::qc_sde(4, 3),
@@ -55,10 +55,7 @@ fn entangled(seed: u64) -> CompiledModel {
 }
 
 fn assert_inline_span(span: &TraceSpan) {
-    assert_eq!(span.queue_wait_ns, 0, "no queue on this path: {span:?}");
-    assert_eq!(span.assemble_ns, 0, "no batch assembly: {span:?}");
     assert!(span.compute_ns > 0, "the model ran: {span:?}");
-    assert_eq!(span.batch_size, 1, "a flush of one: {span:?}");
     assert!(span.stage_sum_ns() <= span.total_ns, "{span:?}");
 }
 
@@ -88,13 +85,37 @@ fn in_process_answers_are_ready_at_submit_and_bit_identical() {
     let m = runtime.shutdown();
     let n = xs.len() as u64;
     assert_eq!((m.admitted, m.completed, m.failed), (n, n, 0));
-    assert_eq!((m.batches, m.batched_requests), (n, n));
-    assert_eq!(m.flush_on_deadline, n, "every request is a flush of one");
-    assert_eq!(m.peak_queue_depth, 0, "nothing was queued");
     assert_eq!(m.in_flight, 0);
-    assert_eq!(m.stage_queue_wait.count(), 0, "no request waits in a queue");
     assert_eq!(m.stage_compute.count(), n);
     assert_eq!(m.latency.count(), n);
+}
+
+#[test]
+fn latency_runs_from_admission_to_the_end_of_evaluation() {
+    let runtime = started_runtime(ServeConfig::default());
+    let client = runtime.client();
+    let xs = samples(16);
+    for x in &xs {
+        client.predict("iris", x).unwrap();
+    }
+    for span in client.traces(xs.len()) {
+        assert!(span.stage_sum_ns() <= span.total_ns, "{span:?}");
+    }
+    let m = runtime.shutdown();
+    // One latency per answered request, spanning its encode and compute
+    // stages (disjoint intervals between admission and the end of
+    // evaluation), both runtime-wide and for the one model served.
+    let stages = m.stage_encode.sum_ns() + m.stage_compute.sum_ns();
+    assert_eq!(m.completed, xs.len() as u64);
+    assert_eq!(m.latency.count(), m.completed);
+    assert!(
+        m.latency.sum_ns() >= stages,
+        "{} < {stages}",
+        m.latency.sum_ns()
+    );
+    let model = &m.models[0].stats;
+    assert_eq!(model.latency.count(), model.completed);
+    assert!(model.latency.sum_ns() >= stages);
 }
 
 #[test]
@@ -164,7 +185,7 @@ fn every_artifact_kind_shadowed_or_not_is_answered_at_submit() {
                 }
             }
             let m = runtime.shutdown();
-            assert_eq!(m.peak_queue_depth, 0, "{name}: nothing was queued");
+            assert_eq!(m.latency.count(), m.completed, "{name}");
         }
     }
 }
@@ -298,11 +319,30 @@ fn wire_predicts_are_answered_by_the_shard_with_complete_spans() {
         assert_inline_span(span);
         assert!(span.write_ns > 0, "the shard stamps the write: {span:?}");
     }
+    // The `trace` op carries the stored fields and nothing else.
+    let trace = wire.trace(xs.len()).unwrap();
+    let wire_spans = trace.get("spans").and_then(Json::as_arr).unwrap();
+    assert_eq!(wire_spans.len(), xs.len());
+    for span in wire_spans {
+        let Json::Obj(fields) = span else {
+            panic!("a span is an object: {span}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "trace_id",
+                "encode_ns",
+                "compute_ns",
+                "write_ns",
+                "total_ns"
+            ]
+        );
+    }
     server.shutdown();
     let m = runtime.shutdown();
     let n = xs.len() as u64;
-    assert_eq!((m.completed, m.batches, m.batched_requests), (n, n, n));
-    assert_eq!(m.peak_queue_depth, 0, "the shard never queued a predict");
+    assert_eq!((m.completed, m.latency.count()), (n, n));
 }
 
 #[test]
@@ -344,7 +384,6 @@ fn wire_answers_follow_hot_swaps_and_shadows_bit_for_bit() {
         m.shadow_requests, 6,
         "every shadowed wire predict was mirrored"
     );
-    assert_eq!(m.peak_queue_depth, 0, "nothing was queued");
 }
 
 #[test]

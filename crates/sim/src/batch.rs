@@ -164,32 +164,6 @@ impl BatchExecutor {
         })
     }
 
-    /// Like [`BatchExecutor::run_seeded`], but every worker additionally
-    /// carries a private scratch value created once by `init` and reused
-    /// across all the jobs that worker runs — the hook that lets a loop
-    /// reuse one statevector buffer instead of allocating one per job.
-    /// Thread-count invariance is preserved as long as jobs fully
-    /// overwrite whatever scratch state they read.
-    pub fn run_seeded_with_scratch<T, U, S, I, F>(
-        &self,
-        base: u64,
-        jobs: Vec<T>,
-        init: I,
-        f: F,
-    ) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, T, &mut StdRng, &mut S) -> U + Sync,
-    {
-        self.pool
-            .scoped_map_with(jobs, init, |index, job, scratch| {
-                let mut rng = StdRng::seed_from_u64(Self::job_seed(base, index as u64));
-                f(index, job, &mut rng, scratch)
-            })
-    }
-
     /// Samples `shots` full-register measurements for each parameter set,
     /// returning one histogram per set (see [`Executor::sample_counts`]).
     pub fn sample_counts(

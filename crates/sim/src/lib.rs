@@ -23,9 +23,6 @@
 //! * [`batch::BatchExecutor`] — parallel batch evaluation over a scoped
 //!   thread pool with deterministic per-job RNG streams (results are
 //!   bit-identical for any thread count),
-//! * [`gemm::StateMatrix`] — many same-width pure states packed into one
-//!   dense SoA matrix so batched fidelities become a cache-blocked GEMM
-//!   (bit-identical to the per-pair reduction path),
 //! * [`product::ProductState`] — unentangled registers stored as one
 //!   2-vector per qubit, with the `O(n)` factorised fidelity
 //!   `Π_q |⟨φ_q|ψ_q⟩|²`; circuits of single-qubit gates fold straight into
@@ -61,7 +58,6 @@ pub mod device;
 pub mod error;
 pub mod executor;
 pub mod gate;
-pub mod gemm;
 pub mod linalg;
 pub mod noise;
 pub mod product;
@@ -80,7 +76,6 @@ pub mod prelude {
     pub use crate::error::SimError;
     pub use crate::executor::{Executor, Method};
     pub use crate::gate::Gate;
-    pub use crate::gemm::StateMatrix;
     pub use crate::linalg::CMatrix;
     pub use crate::noise::{NoiseChannel, NoiseModel, ReadoutError};
     pub use crate::product::ProductState;

@@ -20,8 +20,6 @@
 //!
 //! What is counted:
 //!
-//! * **fused groups** — always 0: no kernel fuses gates. The
-//!   field stays in [`SimProfile`] so readers of its totals keep working;
 //! * **dense sweeps** — full dense `2^k × 2^k` unitary applications (the
 //!   kernel behind gate application);
 //! * **diagonal sweeps** — multiply-free phase-flip specialisations
@@ -108,8 +106,9 @@ pub(crate) fn specialized_sweep(gate: &Gate, amplitudes: u64) {
 /// All zeros unless profiling was enabled while kernels ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimProfile {
-    /// Fused-group invocations: always 0, since no kernel fuses gates.
-    /// Kept so code that builds or sums profiles field by field compiles.
+    /// Always 0: no kernel fuses gates. Not exposed as a series; kept only
+    /// because the benchmark in `perfbench/` builds a `SimProfile` field by
+    /// field.
     pub fused_groups: u64,
     /// Dense `2^k × 2^k` unitary sweeps.
     pub dense_sweeps: u64,

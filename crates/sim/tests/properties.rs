@@ -275,8 +275,8 @@ proptest! {
 /// The reduction tree pinned by hand on a 15-qubit register (eight
 /// 2^12-amplitude leaves): each leaf folds in four interleaved lanes
 /// combined as `(l0 + l1) + (l2 + l3)`, and the leaf sums combine by
-/// balanced halving. `inner_product`, `probability_of_one` and a packed
-/// `StateMatrix` row must return exactly these bits.
+/// balanced halving. `inner_product`, `fidelity` and `probability_of_one`
+/// must return exactly these bits.
 #[test]
 fn reductions_follow_the_fixed_pairwise_tree() {
     const LEAF: usize = 1 << 12;
@@ -326,11 +326,11 @@ fn reductions_follow_the_fixed_pairwise_tree() {
     assert_eq!(got.re.to_bits(), expected.re.to_bits());
     assert_eq!(got.im.to_bits(), expected.im.to_bits());
 
-    // One packed row against the same probe squares the same tree.
-    let matrix = StateMatrix::pack(&[b.clone(), a.clone()]).unwrap();
-    let mut row = [0.0f64; 2];
-    matrix.fidelities_into(&b, &mut row).unwrap();
-    assert_eq!(row[1].to_bits(), expected.norm_sqr().to_bits());
+    // The fidelity squares the same tree.
+    assert_eq!(
+        a.fidelity(&b).unwrap().to_bits(),
+        expected.norm_sqr().to_bits()
+    );
 
     // A qubit inside a leaf (3) and one that selects whole leaves (13).
     for q in [3usize, 13] {

@@ -1,7 +1,7 @@
-//! Asserts the zero-allocation contract of the batched analytic inner
-//! loop: once a packed class matrix, a scratch register and an output row
-//! exist, restarting the register from a prepared state and sweeping it
-//! against every class performs **no heap allocation at all**.
+//! Asserts the zero-allocation contract of the analytic scoring inner
+//! loop: once the class states, a scratch register and an output row
+//! exist, encoding a sample into the register and taking its fidelity
+//! with every class performs **no heap allocation at all**.
 //!
 //! The whole test binary runs under a counting wrapper around the system
 //! allocator (test binaries each own their `#[global_allocator]`), so the
@@ -10,7 +10,7 @@
 //! one test's allocations must not show up in another's window.
 
 use quclassi_sim::circuit::Circuit;
-use quclassi_sim::gemm::StateMatrix;
+use quclassi_sim::gate::matrices;
 use quclassi_sim::state::StateVector;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,41 +77,70 @@ fn workload(n: usize) -> Circuit {
     c
 }
 
+/// Encodes `angles` into `state` the way a dual-angle data encoder does:
+/// from |0…0⟩, an RY then an RZ per qubit, in ascending qubit order.
+fn encode_into(angles: &[f64], state: &mut StateVector) {
+    state.reset_zero();
+    for (q, pair) in angles.chunks_exact(2).enumerate() {
+        state
+            .apply_fresh_2x2(q, &matrices::ry_entries(pair[0]))
+            .unwrap();
+        let d = matrices::rz_entries(pair[1]);
+        state.apply_active_diag(q, d[0], d[3]).unwrap();
+    }
+}
+
 #[test]
 fn gemm_fidelity_sweep_is_allocation_free_in_steady_state() {
-    // The GEMM-shaped batched-inference inner loop: restart a reused
-    // scratch register from a prepared sample state, then sweep it against
-    // a packed class matrix. Once the matrix, scratch and output row
-    // exist, the whole loop must never touch the heap.
+    // The analytic-scoring inner loop: encode a sample into a reused
+    // scratch register, then take its fidelity with every class state.
+    // Once the class states, scratch and output row exist, the whole loop
+    // must never touch the heap.
     let n = 10;
     let circuit = workload(n);
     let classes: Vec<StateVector> = [0.31, -0.87, 1.62]
         .iter()
         .map(|&p| circuit.execute(&[p, 0.5 - p]).unwrap())
         .collect();
-    let matrix = StateMatrix::pack(&classes).unwrap();
-    let sample = circuit.execute(&[0.83, -1.21]).unwrap();
+    let samples: Vec<Vec<f64>> = (0..4)
+        .map(|s| {
+            (0..2 * n)
+                .map(|i| 0.1 + 0.37 * (s * 2 * n + i) as f64)
+                .collect()
+        })
+        .collect();
 
     let mut scratch = StateVector::zero_state(n);
-    let mut fidelities = vec![0.0f64; matrix.rows()];
-    // Warm-up, and the reference row the steady-state sweeps must keep
+    let mut fidelities = vec![0.0f64; classes.len()];
+    let mut score = |angles: &[f64], out: &mut [f64]| {
+        encode_into(angles, &mut scratch);
+        for (slot, class) in out.iter_mut().zip(&classes) {
+            *slot = class.fidelity(&scratch).unwrap();
+        }
+    };
+    // Warm-up, and the reference rows the steady-state loop must keep
     // reproducing.
-    scratch.clone_from(&sample);
-    matrix.fidelities_into(&scratch, &mut fidelities).unwrap();
-    let expected: Vec<u64> = fidelities.iter().map(|f| f.to_bits()).collect();
+    let expected: Vec<Vec<u64>> = samples
+        .iter()
+        .map(|a| {
+            score(a, &mut fidelities);
+            fidelities.iter().map(|f| f.to_bits()).collect()
+        })
+        .collect();
 
     let before = allocations();
-    for _ in 0..100 {
-        scratch.clone_from(&sample);
-        matrix.fidelities_into(&scratch, &mut fidelities).unwrap();
-        for (f, &bits) in fidelities.iter().zip(expected.iter()) {
-            assert_eq!(f.to_bits(), bits);
+    for _ in 0..25 {
+        for (a, want) in samples.iter().zip(&expected) {
+            score(a, &mut fidelities);
+            for (f, &bits) in fidelities.iter().zip(want) {
+                assert_eq!(f.to_bits(), bits);
+            }
         }
     }
     let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "steady-state GEMM fidelity sweeps must not touch the heap"
+        "steady-state analytic scoring must not touch the heap"
     );
 }

@@ -100,7 +100,6 @@ fn concurrent_producers_lose_nothing_and_match_direct_evaluation() {
         assert_eq!(metrics.completed, total);
         assert_eq!(metrics.rejected, 0);
         assert_eq!(metrics.failed, 0);
-        assert_eq!(metrics.batched_requests, total);
         assert_eq!(metrics.latency.count(), total);
     }
 }
