@@ -373,11 +373,11 @@ impl CompiledModel {
     /// once at admission.
     ///
     /// The answer, and its effect on the cache counters, are bit-identical
-    /// to `predict_many_from_angles(vec![angles.to_vec()], batch, seed)`,
-    /// without the batch bookkeeping. A deterministic artifact scores the
-    /// sample on the calling thread and ignores `batch` and `seed`; a
-    /// stochastic one evaluates it as a one-row batch, so its draws come
-    /// from the same `(seed, job index)` streams.
+    /// to `predict_many_from_angles(vec![angles.to_vec()], batch, seed)`.
+    /// A deterministic artifact scores the sample on the calling thread
+    /// and ignores `batch` and `seed`; a stochastic one evaluates it as a
+    /// one-row batch, so its draws come from the same `(seed, job index)`
+    /// streams.
     pub fn predict_from_angles(
         &self,
         angles: &[f64],

@@ -14,22 +14,22 @@
 //!   artifact. A separable model (no entanglement layer) keeps one
 //!   [`quclassi_sim::product::ProductState`] per class: scoring a sample is
 //!   `O(qubits)` per class, with no statevector and no circuit. An
-//!   entangled model keeps its class states packed for one GEMM sweep per
-//!   sample. Both serve the analytic method and every SWAP test through a
+//!   entangled model keeps one statevector per class and scores a sample
+//!   with one statevector fidelity per class. Both serve the analytic method and every SWAP test through a
 //!   noiseless executor, whose ancilla measures exactly the fidelity they
 //!   compute; with shots, the exact fidelity is then drawn through
 //!   [`quclassi::swap_test::FidelityEstimator::measure`]. Only a SWAP test
 //!   through a noisy executor keeps per-class circuits, with the trained
 //!   angles baked in and the sample's encoding angles as the only
 //!   parameters;
-//! * [`CompiledModel::predict_many`] scores product-state artifacts inline
-//!   and fans every other artifact's samples × classes over a
-//!   [`quclassi_sim::batch::BatchExecutor`], returning softmaxed
-//!   probabilities, the arg-max label, and per-sample confidence/top-k
+//! * [`CompiledModel::predict_many`] scores a deterministic artifact's
+//!   samples one after the other and fans a stochastic artifact's
+//!   samples × classes over a [`quclassi_sim::batch::BatchExecutor`],
+//!   returning softmaxed probabilities, the arg-max label, and per-sample confidence/top-k
 //!   through [`Prediction`];
 //! * [`CompiledModel::predict_from_angles`] scores one already-encoded
-//!   sample, bit-identically to a one-row `predict_many_from_angles`
-//!   without its batch bookkeeping: the entry point of a serving runtime;
+//!   sample, bit-identically to a one-row `predict_many_from_angles`:
+//!   the entry point of a serving runtime;
 //! * repeated inputs are answered from an LRU cache keyed by the sample's
 //!   *encoding fingerprint* (the exact bit pattern of its rotation
 //!   angles), which is switched off automatically for stochastic

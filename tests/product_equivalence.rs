@@ -344,7 +344,7 @@ fn compiled_entangled_models_keep_their_statevector_paths() {
         let compiled = CompiledModel::compile(&model, estimator.clone()).unwrap();
         let served = compiled.class_fidelities(&x, &mut rng).unwrap();
         let direct = model.class_fidelities(&x, &estimator, &mut rng).unwrap();
-        // The GEMM is bit-identical to per-pair statevector fidelities.
+        // Served and direct scores take the same statevector fidelities.
         assert_eq!(bits(&served), bits(&direct));
         for (c, &s) in served.iter().enumerate() {
             let params = model.class_params(c).unwrap();
